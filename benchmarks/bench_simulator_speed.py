@@ -10,13 +10,10 @@ Also runnable directly (no pytest-benchmark needed)::
     PYTHONPATH=src python benchmarks/bench_simulator_speed.py
 
 which times every scenario best-of-N (``time.perf_counter``, one untimed
-warm-up round first), runs the classic and vector backends side by side
-on the wide backend-comparison scenarios with their speedup ratio, and
-*appends* a run entry (keyed by git SHA) to ``BENCH_speed.json`` — the
-trajectory artifact CI archives so hot-path throughput accumulates per
-PR instead of being overwritten. ``--check-floors`` turns the run into
-the CI speed-regression smoke: it fails if any scenario's vector/classic
-speedup drops below its conservative floor.
+warm-up round first) and *appends* a run entry (keyed by git SHA) to
+``BENCH_speed.json`` — the trajectory artifact CI archives so hot-path
+throughput accumulates per commit instead of being overwritten.
+End-to-end timings of real runs live in ``perfbench/``.
 """
 
 from repro.cache.cache import SharedCache
@@ -114,83 +111,12 @@ SCENARIOS = {
 }
 
 
-# -- backend comparison scenarios --------------------------------------------
-#
-# Wide last-level caches (thousands of sets) are where batch replay pays:
-# the classic engine's per-access pointer chasing misses in the *host*
-# cache, while the vector engine's fused array passes keep their
-# throughput. Geometries follow the multi-tenant scale-out direction in
-# ROADMAP.md, not the scaled-down figure machines.
-
-WIDE = CacheGeometry(16 << 20, 64, 16)  # 16 MiB, 16384 sets
-XWIDE = CacheGeometry(64 << 20, 64, 16)  # 64 MiB, 65536 sets
-WIDE_CORES = 8
-
-
-def _wide_stream(accesses, hot_range, hot_frac, seed=7):
-    """Shared hot pool + uniform cold tail over a 16 M-block address space."""
-    rng = make_rng(seed, "speed-wide")
-    return [
-        (
-            rng.randrange(WIDE_CORES),
-            rng.randrange(hot_range) if rng.random() < hot_frac else rng.getrandbits(24),
-        )
-        for _ in range(accesses)
-    ]
-
-
-def _lru_pair(geometry):
-    from repro.cache.vector import VectorCache
-
-    return (lambda: SharedCache(geometry, WIDE_CORES),
-            lambda: VectorCache(geometry, WIDE_CORES))
-
-
-def _dip_pair(geometry):
-    from repro.cache.replacement import DIPPolicy
-    from repro.cache.vector import VectorCache
-
-    return (lambda: SharedCache(geometry, WIDE_CORES, policy=DIPPolicy(seed=3)),
-            lambda: VectorCache(geometry, WIDE_CORES, policy=DIPPolicy(seed=3)))
-
-
-def _prism_pair(geometry):
-    from repro.cache.vector import VectorCache
-
-    def classic():
-        cache = SharedCache(geometry, WIDE_CORES)
-        cache.set_scheme(PrismScheme(HitMaxPolicy(), seed=5, sample_shift=5))
-        return cache
-
-    def vector():
-        return VectorCache(
-            geometry, WIDE_CORES,
-            scheme=PrismScheme(HitMaxPolicy(), seed=5, sample_shift=5),
-        )
-
-    return classic, vector
-
-
-#: name -> (factory pair builder, geometry, (hot_range, hot_frac), CI floor).
-#: The floor is the vector/classic speedup below which the CI smoke fails —
-#: deliberately conservative (CI runners are noisy and use short streams);
-#: see BENCH_speed.json for measured values.
-BACKEND_SCENARIOS = {
-    "lru_hot": (_lru_pair, WIDE, (40_000, 0.95), 2.5),
-    "lru_wide": (_lru_pair, WIDE, (200_000, 0.60), 3.0),
-    "lru_xwide": (_lru_pair, XWIDE, (600_000, 0.60), 4.0),
-    "dip_wide": (_dip_pair, WIDE, (40_000, 0.95), 1.0),
-    "prism_wide": (_prism_pair, WIDE, (40_000, 0.95), 1.2),
-}
-
-
 def _best_of(run, rounds):
     """Best wall-clock of ``rounds`` timed calls, after one warm-up call.
 
-    The warm-up round is not timed: it pages in the engine code paths,
-    warms the allocator and (for the vector engine) numpy's internal
-    caches, so round-to-round variance reflects the engine, not process
-    start-up.
+    The warm-up round is not timed: it pages in the engine code paths
+    and warms the allocator, so round-to-round variance reflects the
+    engine, not process start-up.
     """
     import time
 
@@ -203,53 +129,8 @@ def _best_of(run, rounds):
     return best
 
 
-def run_backends(accesses: int = 400_000, rounds: int = 2) -> dict:
-    """Both backends side by side on every backend scenario.
-
-    Per scenario: the classic engine driven per access (the historical
-    baseline), the classic engine over ``access_many`` (same engine, batch
-    call overhead shed), and the vector engine over the same pre-encoded
-    stream. ``speedup`` is vector vs per-access classic.
-    """
-    from repro.cache.encode import encode_trace
-
-    if accesses < 1 or rounds < 1:
-        raise SystemExit(
-            f"--accesses and --rounds must be >= 1 (got {accesses}, {rounds})"
-        )
-    results = {}
-    for name, (pair, geometry, (hot_range, hot_frac), floor) in BACKEND_SCENARIOS.items():
-        classic_factory, vector_factory = pair(geometry)
-        stream = _wide_stream(accesses, hot_range, hot_frac)
-        encoded = encode_trace(stream, geometry)
-
-        def classic_scalar():
-            cache = classic_factory()
-            access = cache.access
-            for core, addr in stream:
-                access(core, addr)
-
-        classic_s = _best_of(classic_scalar, rounds)
-        classic_batch_s = _best_of(
-            lambda: classic_factory().access_many(encoded), rounds
-        )
-        vector_s = _best_of(
-            lambda: vector_factory().access_many(encoded), rounds
-        )
-        results[name] = {
-            "accesses": accesses,
-            "rounds": rounds,
-            "classic_aps": round(accesses / classic_s, 1),
-            "classic_batch_aps": round(accesses / classic_batch_s, 1),
-            "vector_aps": round(accesses / vector_s, 1),
-            "speedup": round(classic_s / vector_s, 2),
-            "floor": floor,
-        }
-    return results
-
-
 def run_standalone(accesses: int = 100_000, rounds: int = 3) -> dict:
-    """Best-of-``rounds`` accesses/second for every classic-only scenario."""
+    """Best-of-``rounds`` accesses/second for every scenario."""
     rng = make_rng(1, "speed")
     stream = [(rng.randrange(4), rng.randrange(3000)) for _ in range(accesses)]
     results = {}
@@ -326,55 +207,23 @@ def main(argv=None) -> int:
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--accesses", type=int, default=100_000,
-                        help="stream length for the classic-only scenarios")
-    parser.add_argument("--backend-accesses", type=int, default=400_000,
-                        help="stream length for the backend-comparison scenarios")
+                        help="stream length per scenario")
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("-o", "--output", default="BENCH_speed.json")
-    parser.add_argument("--skip-backends", action="store_true",
-                        help="only run the classic-only scenarios")
-    parser.add_argument("--check-floors", action="store_true",
-                        help="exit 1 if any backend scenario's vector/classic "
-                        "speedup falls below its floor (the CI smoke)")
     args = parser.parse_args(argv)
 
-    classic_only = run_standalone(accesses=args.accesses, rounds=args.rounds)
-    print("classic-only scenarios (64 KiB figure machine):")
-    for name, row in classic_only.items():
+    scenarios = run_standalone(accesses=args.accesses, rounds=args.rounds)
+    print("scenarios (64 KiB figure machine):")
+    for name, row in scenarios.items():
         print(f"{name:>16}: {row['accesses_per_sec']:>12,.0f} accesses/sec")
-
-    backends = {}
-    failures = []
-    if not args.skip_backends:
-        backends = run_backends(
-            accesses=args.backend_accesses, rounds=max(1, args.rounds - 1)
-        )
-        print("\nbackend comparison (accesses/sec, best-of-N after warm-up):")
-        print(f"{'scenario':>12} {'classic':>12} {'classic-batch':>14} "
-              f"{'vector':>12} {'speedup':>8}")
-        for name, row in backends.items():
-            print(f"{name:>12} {row['classic_aps']:>12,.0f} "
-                  f"{row['classic_batch_aps']:>14,.0f} "
-                  f"{row['vector_aps']:>12,.0f} {row['speedup']:>7.2f}x")
-            if row["speedup"] < row["floor"]:
-                failures.append(
-                    f"{name}: speedup {row['speedup']:.2f}x "
-                    f"below floor {row['floor']:.2f}x"
-                )
 
     entry = {
         "sha": _git_sha(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "scenarios": classic_only,
-        "backends": backends,
+        "scenarios": scenarios,
     }
     doc = _append_trajectory(args.output, entry)
     print(f"\nwrote {args.output} ({len(doc['runs'])} run(s) in trajectory)")
-
-    if args.check_floors and failures:
-        for failure in failures:
-            print(f"FLOOR VIOLATION: {failure}")
-        return 1
     return 0
 
 

@@ -13,13 +13,10 @@ into:
 - monitors — sampled per-core shadow tags with per-recency-position hit
   counters (:class:`~repro.cache.shadow.ShadowTagMonitor`), which double as
   UCP's UMON utility monitors,
-- backends — the numpy batch engine (:class:`~repro.cache.vector.VectorCache`)
-  with its trace pre-encoder (:mod:`repro.cache.encode`) and the
-  :func:`~repro.cache.backends.build_cache` selector that falls back to the
-  classic engine for configurations the vector engine cannot represent.
+- batch replay — :meth:`~repro.cache.cache.SharedCache.access_many` over
+  traces pre-encoded by :mod:`repro.cache.encode`.
 """
 
-from repro.cache.backends import BACKENDS, build_cache, resolve_backend
 from repro.cache.block import CacheBlock
 from repro.cache.cacheset import CacheSet
 from repro.cache.geometry import CacheGeometry
@@ -30,7 +27,6 @@ from repro.cache.shadow import ShadowTagMonitor
 
 __all__ = [
     "AccessResult",
-    "BACKENDS",
     "CacheBlock",
     "CacheGeometry",
     "CacheSet",
@@ -38,6 +34,4 @@ __all__ = [
     "IntervalHistory",
     "SharedCache",
     "ShadowTagMonitor",
-    "build_cache",
-    "resolve_backend",
 ]

@@ -31,7 +31,7 @@ from repro.cache.replacement.base import ReplacementPolicy
 from repro.cache.replacement.lru import LRUPolicy
 from repro.cache.stats import CacheStats
 
-__all__ = ["AccessResult", "SharedCache"]
+__all__ = ["AccessResult", "BatchResults", "SharedCache"]
 
 
 def _active(callback):
@@ -54,6 +54,38 @@ class AccessResult(NamedTuple):
     set_index: int
     evicted_core: int  # -1 when nothing was evicted
     evicted_addr: int = -1  # block address of the victim (-1 if none)
+
+
+class BatchResults:
+    """Per-access outcomes of one :meth:`SharedCache.access_many` call.
+
+    Stored as parallel arrays (building millions of ``AccessResult``
+    tuples would dominate the batch runtime); :meth:`result` materialises
+    one on demand and iteration yields them in order.
+    """
+
+    __slots__ = ("hit", "set_index", "evicted_core", "evicted_addr")
+
+    def __init__(self, hit, set_index, evicted_core, evicted_addr) -> None:
+        self.hit = hit
+        self.set_index = set_index
+        self.evicted_core = evicted_core
+        self.evicted_addr = evicted_addr
+
+    def __len__(self) -> int:
+        return len(self.hit)
+
+    def result(self, i: int) -> AccessResult:
+        return AccessResult(
+            bool(self.hit[i]),
+            int(self.set_index[i]),
+            int(self.evicted_core[i]),
+            int(self.evicted_addr[i]),
+        )
+
+    def __iter__(self):
+        for i in range(len(self.hit)):
+            yield self.result(i)
 
 
 class SharedCache:
@@ -410,12 +442,11 @@ class SharedCache:
         )
 
     def access_many(self, cores, addrs=None, collect: bool = False):
-        """Replay many accesses through the classic engine.
+        """Replay many accesses, with the same results as :meth:`access`.
 
-        Same contract as :meth:`repro.cache.vector.VectorCache.access_many`:
-        both backends consume the same pre-encoded stream, so a driver can
-        switch engines without re-encoding. The classic engine still
-        processes one access at a time, but the batch loop sheds the
+        The stream is pre-encoded (:mod:`repro.cache.encode`), so a trace
+        can be encoded once and replayed any number of times. Accesses
+        are still processed one at a time, but the batch loop sheds the
         per-call overhead (one ``_hot`` unpack and the geometry arithmetic
         per batch instead of per access). Wiring must not change
         mid-batch — exactly the assumption ``access`` already makes within
@@ -426,7 +457,7 @@ class SharedCache:
                 per-access core ids.
             addrs: block addresses (required unless ``cores`` is already
                 an encoded trace).
-            collect: build a :class:`~repro.cache.vector.BatchResults`;
+            collect: build a :class:`BatchResults`;
                 leave off on throughput-critical replays.
 
         Returns:
@@ -534,8 +565,6 @@ class SharedCache:
             return None
         import numpy as np
 
-        from repro.cache.vector import BatchResults
-
         return BatchResults(
             np.asarray(hit_out, dtype=bool),
             trace.set_indices,
@@ -601,8 +630,8 @@ class SharedCache:
         """Sharer state of every resident block, in a comparable shape.
 
         Returns sorted ``(set_index, tag, accounting_owner, sharers)``
-        tuples — the zero-epsilon differential suite compares this
-        across engines when ``track_sharers`` is on.
+        tuples — the zero-epsilon differential suite compares this with
+        the reference simulator when ``track_sharers`` is on.
         """
         rows = []
         for cset in self.sets:

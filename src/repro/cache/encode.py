@@ -1,15 +1,13 @@
 """One-shot trace pre-encoding: block addresses -> (set index, tag) arrays.
 
-Both cache backends consume the same encoded form: the classic engine's
-:meth:`~repro.cache.cache.SharedCache.access_many` saves the per-access
-geometry arithmetic, and the vector engine
-(:class:`~repro.cache.vector.VectorCache`) requires whole-trace arrays to
-batch its set lookups at all. Encoding is a pair of vectorised integer
-ops (mask + shift), so a multi-million-access trace encodes in
-milliseconds and the arrays can be replayed any number of times.
+:meth:`~repro.cache.cache.SharedCache.access_many` consumes this encoded
+form, which saves it the per-access geometry arithmetic. Encoding is a
+pair of vectorised integer ops (mask + shift), so a multi-million-access
+trace encodes in milliseconds and the arrays can be replayed any number
+of times.
 
 The arithmetic is exactly :class:`~repro.cache.geometry.CacheGeometry`'s
-``set_index``/``tag`` (and the classic engine's hot-path copies of them):
+``set_index``/``tag`` (and the engine's hot-path copies of them):
 ``set_index = addr & (num_sets - 1)``, ``tag = addr >> set_bits``.
 """
 

@@ -24,9 +24,6 @@ guarantee):
   folded into the effective instructions).
 - ``spec.telemetry`` is excluded: recording a trace observes a run, it
   does not change it.
-- ``spec.backend`` is excluded: the classic and vector engines are
-  certified bit-exact (``repro-sim check fuzz --backend vector``), so a
-  stored result satisfies a spec under either backend.
 - The payload is versioned; :data:`FINGERPRINT_VERSION` bumps whenever a
   rule above changes, invalidating old stores loudly rather than
   silently colliding.

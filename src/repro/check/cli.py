@@ -24,7 +24,6 @@ def cmd_check_fuzz(args) -> int:
                 f"no reference simulator for {unknown} "
                 f"(supported: {sorted(REFERENCE_SCHEMES)})"
             )
-    backend = getattr(args, "backend", "classic")
     sharing = getattr(args, "sharing", False)
     progress = None if args.quiet else (lambda msg: print(f"  {msg}", flush=True))
     start = time.time()
@@ -33,7 +32,6 @@ def cmd_check_fuzz(args) -> int:
         seed=args.seed,
         schemes=schemes,
         progress=progress,
-        backend=backend,
         sharing=sharing,
     )
     elapsed = time.time() - start
@@ -52,17 +50,11 @@ def cmd_check_fuzz(args) -> int:
     )
     print(
         f"{len(results)} cases ({coverage}), {accesses} accesses, "
-        f"{intervals} interval boundaries compared in {elapsed:.1f}s "
-        f"[backend={backend}"
-        + (f", sharing axes on ({shared_cases} cases)" if sharing else "")
-        + "]"
+        f"{intervals} interval boundaries compared in {elapsed:.1f}s"
+        + (f" [sharing axes on ({shared_cases} cases)]" if sharing else "")
     )
     if not bad:
-        if backend == "vector":
-            print("vector engine agrees with the classic engine and the "
-                  "reference on every case")
-        else:
-            print("engine and reference agree on every case")
+        print("engine and reference agree on every case, per access and batched")
         return 0
     print(f"{len(bad)} DIVERGENT case{'s' if len(bad) != 1 else ''}:")
     for result in bad:

@@ -24,12 +24,13 @@ have; :class:`SyntheticPerf` supplies deterministic per-core CPI/IPC
 figures so the fuzzer can exercise Algorithms 2 and 3 without dragging in
 the timing model.
 
-The ``backend`` axis points the same machinery at the numpy batch engine:
-``run_case(case, backend="vector")`` certifies
-:class:`~repro.cache.vector.VectorCache` twice per case — batched (via
-``access_many`` with a case-derived chunk size) against the classic
-engine, then against the reference — with identical per-access,
-per-boundary and end-of-run equality demands.
+Every case certifies the engine twice: per access (:func:`compare_run`),
+then on a fresh engine and reference through the batch path
+(:func:`compare_batched`), which replays the stream through
+:meth:`~repro.cache.cache.SharedCache.access_many` in a case-derived
+number of slabs so that state carry-over between calls is swept too.
+Both passes make the same per-access, per-boundary and end-of-run
+equality demands.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ __all__ = [
     "make_stream",
     "random_case",
     "run_case",
+    "slab_count",
 ]
 
 #: Schemes whose allocation policy reads performance counters.
@@ -288,7 +290,7 @@ def compare_run(
 class _BoundaryProbe:
     """Telemetry stand-in capturing ``(E, T)`` at every interval boundary.
 
-    Both engines call ``record_interval`` from inside their boundary
+    The engine calls ``record_interval`` from inside its boundary
     handler, after the scheme reallocated and before
     ``intervals_completed`` increments — so the snapshots carry exactly
     the per-boundary state a per-access replay observes.
@@ -311,23 +313,8 @@ class _BoundaryProbe:
         )
 
 
-def _result_tuple(result) -> tuple:
-    """(hit, set, evicted_core, evicted_addr) for either simulator's result."""
-    if hasattr(result, "as_tuple"):
-        return result.as_tuple()
-    return (result.hit, result.set_index, result.evicted_core, result.evicted_addr)
-
-
-def _scheme_et(sim) -> tuple:
-    """Current ``(E, T)`` of a simulator's scheme (engine or reference)."""
-    scheme = sim.scheme
-    if hasattr(scheme, "eviction_probabilities"):
-        return (list(scheme.eviction_probabilities), list(scheme.targets))
-    return (list(scheme.probabilities), list(scheme.targets))
-
-
-def _replay_oracle(oracle, stream: Sequence[Tuple[int, int]]):
-    """Per-access replay of an oracle (classic engine or reference).
+def _replay_reference(reference: ReferenceCache, stream: Sequence[Tuple[int, int]]):
+    """Per-access replay of the reference.
 
     Returns the per-access result tuples and the boundary snapshots in
     the same shape :class:`_BoundaryProbe` records.
@@ -335,12 +322,12 @@ def _replay_oracle(oracle, stream: Sequence[Tuple[int, int]]):
     tuples = []
     boundaries = []
     seen = 0
-    has_scheme = oracle.scheme is not None
+    scheme = reference.scheme
     for core, addr in stream:
-        tuples.append(_result_tuple(oracle.access(core, addr)))
-        if has_scheme and oracle.intervals_completed > seen:
-            seen = oracle.intervals_completed
-            boundaries.append((seen,) + _scheme_et(oracle))
+        tuples.append(reference.access(core, addr).as_tuple())
+        if scheme is not None and reference.intervals_completed > seen:
+            seen = reference.intervals_completed
+            boundaries.append((seen, list(scheme.probabilities), list(scheme.targets)))
     return tuples, boundaries
 
 
@@ -368,35 +355,32 @@ def _end_state(sim) -> dict:
     psel = getattr(sim.policy, "psel", None)
     if psel is not None:
         state["psel"] = psel
-    if getattr(sim, "track_sharers", False) and hasattr(sim, "scan_sharers"):
+    if sim.track_sharers:
         state["sharers"] = sim.scan_sharers()
-    # The vector engine never materialises fillers (translation happens
-    # before its state machine), so "charges" only appears — and is only
-    # compared — between simulators that can rescan them.
-    if getattr(sim, "core_map", None) is not None and hasattr(sim, "scan_charges"):
+    if sim.core_map is not None:
         state["charges"] = sim.scan_charges()
     return state
 
 
 def compare_batched(
-    engine,
-    oracle,
+    engine: SharedCache,
+    reference: ReferenceCache,
     stream: Sequence[Tuple[int, int]],
     label: str = "",
     slabs: int = 3,
 ) -> List[Divergence]:
-    """Batched engine vs per-access oracle: same checks as :func:`compare_run`.
+    """Batched engine vs per-access reference: same checks as :func:`compare_run`.
 
-    The oracle (classic engine or reference) replays per access, snapshotting
-    ``E``/``T`` at each boundary; ``engine`` replays the same stream through
-    :meth:`access_many` in ``slabs`` batch calls (exercising state carry-over
-    between calls) with a boundary probe attached. Per-access results, the
-    ordered boundary snapshots, and the end-of-run state must all match
-    exactly.
+    The reference replays per access, snapshotting ``E``/``T`` at each
+    boundary; ``engine`` replays the same stream through
+    :meth:`~repro.cache.cache.SharedCache.access_many` in ``slabs`` batch
+    calls (exercising state carry-over between calls) with a boundary
+    probe attached. Per-access results, the ordered boundary snapshots,
+    and the end-of-run state must all match exactly.
     """
     from repro.cache.encode import encode_trace
 
-    o_tuples, o_bounds = _replay_oracle(oracle, stream)
+    r_tuples, r_bounds = _replay_reference(reference, stream)
     probe = None
     if engine.scheme is not None:
         probe = _BoundaryProbe()
@@ -409,41 +393,41 @@ def compare_batched(
             encode_trace(stream[start : start + cut], engine.geometry),
             collect=True,
         )
-        e_tuples.extend(_result_tuple(r) for r in out)
+        e_tuples.extend(tuple(r) for r in out)
 
     divergences: List[Divergence] = []
-    for index, (engine_tuple, oracle_tuple) in enumerate(zip(e_tuples, o_tuples)):
-        if engine_tuple != oracle_tuple:
+    for index, (engine_tuple, ref_tuple) in enumerate(zip(e_tuples, r_tuples)):
+        if engine_tuple != ref_tuple:
             divergences.append(
-                Divergence(index, f"{label}access", engine_tuple, oracle_tuple)
+                Divergence(index, f"{label}access", engine_tuple, ref_tuple)
             )
             return divergences
     e_bounds = probe.snapshots if probe is not None else []
-    if len(e_bounds) != len(o_bounds):
+    if len(e_bounds) != len(r_bounds):
         divergences.append(
-            Divergence(-1, f"{label}interval boundaries", len(e_bounds), len(o_bounds))
+            Divergence(-1, f"{label}interval boundaries", len(e_bounds), len(r_bounds))
         )
         return divergences
-    for (e_k, e_e, e_t), (o_k, o_e, o_t) in zip(e_bounds, o_bounds):
-        if e_k != o_k:
-            divergences.append(Divergence(-1, f"{label}interval index", e_k, o_k))
+    for (e_k, e_e, e_t), (r_k, r_e, r_t) in zip(e_bounds, r_bounds):
+        if e_k != r_k:
+            divergences.append(Divergence(-1, f"{label}interval index", e_k, r_k))
             return divergences
-        if e_e != o_e:
+        if e_e != r_e:
             divergences.append(
-                Divergence(-1, f"{label}eviction_probabilities@interval{e_k}", e_e, o_e)
+                Divergence(-1, f"{label}eviction_probabilities@interval{e_k}", e_e, r_e)
             )
             return divergences
-        if e_t != o_t:
+        if e_t != r_t:
             divergences.append(
-                Divergence(-1, f"{label}targets@interval{e_k}", e_t, o_t)
+                Divergence(-1, f"{label}targets@interval{e_k}", e_t, r_t)
             )
             return divergences
     engine_state = _end_state(engine)
-    oracle_state = _end_state(oracle)
-    for what in sorted(set(engine_state) & set(oracle_state)):
-        if engine_state[what] != oracle_state[what]:
+    ref_state = _end_state(reference)
+    for what in sorted(set(engine_state) & set(ref_state)):
+        if engine_state[what] != ref_state[what]:
             divergences.append(
-                Divergence(-1, f"{label}{what}", engine_state[what], oracle_state[what])
+                Divergence(-1, f"{label}{what}", engine_state[what], ref_state[what])
             )
     return divergences
 
@@ -466,36 +450,22 @@ def _build_engine(case: DifferentialCase, standalone_ipcs, perf) -> SharedCache:
     return cache
 
 
-def _build_vector_engine(case: DifferentialCase, standalone_ipcs, perf):
-    from repro.cache.vector import VectorCache
+def slab_count(case: DifferentialCase) -> int:
+    """How many ``access_many`` calls the batched pass splits the stream into.
 
-    kwargs = dict(case.scheme_kwargs or {})
-    scheme, policy = build_scheme(
-        case.scheme, case.acct_cores, standalone_ipcs, **kwargs
-    )
-    if scheme is not None:
-        scheme.perf = perf
-    # A case-derived chunk so the fuzzer also sweeps batch granularity
-    # (tiny chunks maximise boundary/carry-over coverage).
-    chunk = None if case.seed % 3 == 0 else 2 + case.seed % 97
-    return VectorCache(
-        case.geometry,
-        case.acct_cores,
-        policy=policy,
-        scheme=scheme,
-        chunk=chunk,
-        core_map=case.core_map,
-        track_sharers=case.track_sharers,
-    )
+    Derived from the case seed, so the fuzzer sweeps batch granularity
+    from one whole-stream call down to slabs of a few accesses (small
+    slabs maximise boundary and carry-over coverage).
+    """
+    return 1 + case.seed % 97
 
 
-def run_case(case: DifferentialCase, backend: str = "classic") -> CaseResult:
+def run_case(case: DifferentialCase) -> CaseResult:
     """Build the simulators for ``case``, replay the stream, compare.
 
-    ``backend="classic"`` replays the classic engine against the
-    reference per access. ``backend="vector"`` certifies the vector
-    engine twice over: batched against the classic engine, then (on a
-    fresh engine) batched against the reference.
+    The engine is replayed against the reference per access; on a clean
+    replay a fresh engine is replayed through ``access_many`` in
+    :func:`slab_count` slabs against a fresh reference.
     """
     # Schemes, perf counters and stand-alone IPCs are all sized by the
     # accounting width: under clustering PriSM manages clusters, not cores.
@@ -509,31 +479,31 @@ def run_case(case: DifferentialCase, backend: str = "classic") -> CaseResult:
         rng = make_rng(case.seed, "check-standalone")
         standalone_ipcs = [0.5 + rng.random() for _ in range(case.acct_cores)]
 
+    def fresh_reference() -> ReferenceCache:
+        return build_reference(
+            case.scheme,
+            case.acct_cores,
+            case.geometry,
+            standalone_ipcs=standalone_ipcs,
+            scheme_kwargs=case.scheme_kwargs,
+            perf=perf,
+            core_map=case.core_map,
+            track_sharers=case.track_sharers,
+        )
+
     stream = make_stream(case)
-    reference = build_reference(
-        case.scheme,
-        case.acct_cores,
-        case.geometry,
-        standalone_ipcs=standalone_ipcs,
-        scheme_kwargs=case.scheme_kwargs,
-        perf=perf,
-        core_map=case.core_map,
-        track_sharers=case.track_sharers,
+    reference = fresh_reference()
+    divergences = compare_run(
+        _build_engine(case, standalone_ipcs, perf), reference, stream
     )
-    if backend == "vector":
-        engine = _build_vector_engine(case, standalone_ipcs, perf)
-        classic = _build_engine(case, standalone_ipcs, perf)
-        divergences = compare_batched(engine, classic, stream, label="vs-classic ")
-        if not divergences:
-            engine = _build_vector_engine(case, standalone_ipcs, perf)
-            divergences = compare_batched(
-                engine, reference, stream, label="vs-reference "
-            )
-    elif backend == "classic":
-        cache = _build_engine(case, standalone_ipcs, perf)
-        divergences = compare_run(cache, reference, stream)
-    else:
-        raise ValueError(f"unknown backend {backend!r} (classic or vector)")
+    if not divergences:
+        divergences = compare_batched(
+            _build_engine(case, standalone_ipcs, perf),
+            fresh_reference(),
+            stream,
+            label="batched ",
+            slabs=slab_count(case),
+        )
     return CaseResult(
         case=case,
         divergences=divergences,
@@ -610,16 +580,13 @@ def fuzz(
     seed: int = 0,
     schemes: Optional[Sequence[str]] = None,
     progress: Optional[Callable[[str], None]] = None,
-    backend: str = "classic",
     sharing: bool = False,
 ) -> List[CaseResult]:
     """Run ``cases`` random differential cases; return every result.
 
     The case stream is fully determined by ``seed`` (via
     ``make_rng(seed, "check-fuzz")``), so a failing campaign reproduces
-    exactly from its seed. ``backend`` selects the engine under test
-    (see :func:`run_case`); the drawn cases are identical either way.
-    ``sharing`` enables the shared-ownership and cluster axes (see
+    exactly from its seed. ``sharing`` enables the shared-ownership and cluster axes (see
     :func:`random_case`).
     """
     rng = make_rng(seed, "check-fuzz")
@@ -627,7 +594,7 @@ def fuzz(
     results = []
     for index in range(cases):
         case = random_case(rng, schemes=schemes, sharing=sharing)
-        result = run_case(case, backend=backend)
+        result = run_case(case)
         results.append(result)
         if progress is not None:
             if result.ok:

@@ -101,13 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--scale-factor", type=int, default=64, help="cache scaling divisor")
     run_p.add_argument(
-        "--backend",
-        choices=["classic", "vector"],
-        default="classic",
-        help="cache engine (results are certified bit-exact either way; "
-        "vector is the numpy batch engine, see docs/simulator.md)",
-    )
-    run_p.add_argument(
         "--telemetry-out",
         default=None,
         metavar="PATH",
@@ -209,13 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     ten_p.add_argument("--seed", type=int, default=0)
     ten_p.add_argument("--scale-factor", type=int, default=64,
                        help="cache scaling divisor")
-    ten_p.add_argument(
-        "--backend",
-        choices=["classic", "vector"],
-        default="classic",
-        help="cache engine for every run (results are certified bit-exact "
-        "either way)",
-    )
     ten_p.add_argument("--json", default=None, metavar="PATH",
                        help="also write the full result dict as JSON")
     ten_p.add_argument("--csv", default=None,
@@ -371,14 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="restrict to these schemes "
                         "(default: every reference scheme)")
     fuzz_p.add_argument(
-        "--backend",
-        choices=["classic", "vector"],
-        default="classic",
-        help="engine under test: classic compares the object-model engine "
-        "against the reference; vector compares the numpy batch engine "
-        "against BOTH the classic engine and the reference",
-    )
-    fuzz_p.add_argument(
         "--sharing",
         action="store_true",
         help="also sweep the shared-ownership and cluster axes: scale-out "
@@ -399,7 +377,6 @@ def _run_options(args, progress=None, telemetry=False) -> RunOptions:
         telemetry=telemetry,
         store=getattr(args, "store", None),
         check=getattr(args, "check", False),
-        backend=getattr(args, "backend", "classic"),
     )
 
 
@@ -649,7 +626,6 @@ def cmd_tenants(args) -> int:
         workload=args.workload,
         schemes=args.schemes or list(multi_tenant.DEFAULT_SCHEMES),
         scale_factor=args.scale_factor,
-        backend=args.backend,
     )
     print(multi_tenant.format_result(result))
     if args.json:

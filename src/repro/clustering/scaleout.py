@@ -21,8 +21,7 @@ weighted speedup) are recovered in the driver from the replay outputs:
 each chunk's hit mask is binned by the original core ids before
 translation, so per-core hit/miss totals are exact, not estimates.
 
-``check=True`` forces the classic engine (the invariant checker walks
-its object model), turns on sharer-bitmask tracking, and audits the new
+``check=True`` turns on sharer-bitmask tracking and audits the
 ``sharer-consistency`` and ``cluster-conservation`` invariants along
 with the original catalogue.
 
@@ -35,12 +34,11 @@ runs fan out through :func:`~repro.experiments.parallel.run_specs`, so
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.cache.backends import build_cache
+from repro.cache.cache import SharedCache
 from repro.cache.encode import encode_accesses
 from repro.clustering import derive_core_map
 from repro.cpu.system import CoreResult
@@ -74,7 +72,6 @@ def shared_standalone(
     total_requests: Optional[int] = None,
     seed: int = 0,
     cache: Optional[StandaloneIPCCache] = None,
-    backend: str = "classic",
 ):
     """Per-core solo baselines on the full cache (memoised).
 
@@ -104,9 +101,7 @@ def shared_standalone(
         ipc = cache.get(key + ("ipc",))
         rate = cache.get(key + ("hit_rate",))
         if ipc is None or rate is None:
-            solo_cache, _ = build_cache(
-                config.geometry, 1, policy=policy, scheme=None, backend=backend
-            )
+            solo_cache = SharedCache(config.geometry, 1, policy=policy)
             provider = TenantPerfProvider(solo_cache)
             for cores, addrs in source.core_chunks(index, requests, seed):
                 solo_cache.access_many(encode_accesses(cores, addrs, config.geometry))
@@ -149,7 +144,6 @@ def run_shared_workload(
     telemetry: Union[bool, TelemetryRecorder] = False,
     standalone_cache: Optional[StandaloneIPCCache] = None,
     check: bool = False,
-    backend: str = "classic",
     clusters: Optional[int] = None,
     track_sharers: bool = False,
 ) -> WorkloadResult:
@@ -168,7 +162,7 @@ def run_shared_workload(
             ``check=True``, which audits the ``sharer-consistency``
             invariant).
         scheme/seed/instructions/scheme_kwargs/telemetry/standalone_cache/
-            check/backend: as in
+            check: as in
             :func:`~repro.experiments.runner.run_workload`.
     """
     source = resolve_workload(source)
@@ -186,7 +180,6 @@ def run_shared_workload(
         total_requests=total_requests,
         seed=seed,
         cache=standalone_cache,
-        backend=backend,
     )
 
     core_map = None
@@ -202,23 +195,13 @@ def run_shared_workload(
     scheme_obj, policy = build_scheme(
         scheme, acct_cores, acct_standalone, **(scheme_kwargs or {})
     )
-    if check and backend != "classic":
-        warnings.warn(
-            "check=True audits the classic engine; ignoring backend="
-            f"{backend!r} for this run",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        backend = "classic"
-    track = track_sharers or check
-    cache, _ = build_cache(
+    cache = SharedCache(
         config.geometry,
         acct_cores,
         policy=policy,
         scheme=scheme_obj,
-        backend=backend,
         core_map=core_map,
-        track_sharers=track,
+        track_sharers=track_sharers or check,
     )
     checker = None
     if check:
@@ -275,10 +258,9 @@ def run_shared_workload(
         mp_ipcs.append(ipc)
         if core_map is not None:
             # Under clustering occupancy is owned per cluster; report an
-            # even split across members. (The classic engine could scan
-            # exact per-filler charges, but the vector engine does not
-            # materialise fillers, and the fingerprint certifies results
-            # as backend-invariant — so both report the split.)
+            # even split across members. (Exact per-filler charges could
+            # be scanned from the blocks, but reported results, and the
+            # digests pinned on them, are defined on the split.)
             group = core_map[index]
             members = core_map.count(group)
             occupancy = cache.occupancy[group] / members
@@ -357,7 +339,6 @@ def run(
     schemes: Sequence[str] = DEFAULT_SCHEMES,
     clusters: int = 4,
     scale_factor: int = 64,
-    backend: str = "classic",
     seed: int = 0,
     progress: Progress = None,
 ) -> Dict:
@@ -375,7 +356,7 @@ def run(
             references).
         schemes: scheme registry names to compare.
         clusters: cluster-count cap for the clustered half of the panel.
-        scale_factor/backend/seed: as everywhere else.
+        scale_factor/seed: as everywhere else.
     """
     workloads = [w if ":" in w else f"shared:{w}" for w in workloads]
     schemes = list(schemes)
@@ -389,7 +370,6 @@ def run(
                 scheme=scheme,
                 seed=seed,
                 instructions=instructions,
-                backend=backend,
                 clusters=cluster_count,
             )
             for scheme in schemes

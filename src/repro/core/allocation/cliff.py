@@ -19,8 +19,7 @@ counters (:meth:`~repro.cache.shadow.ShadowTagMonitor.hits_with_ways`),
 the same UMON data UCP reads. Targets are computed in way-granularity
 steps and emitted as occupancy fractions, so the policy plugs into a
 plain :class:`~repro.core.prism.PrismScheme` — eviction probabilities
-become the reclaim pressure that enforces the partition, and the vector
-backend runs it unchanged.
+become the reclaim pressure that enforces the partition.
 """
 
 from __future__ import annotations

@@ -36,7 +36,6 @@ def run(
     workload: str = "web8",
     schemes: Sequence[str] = DEFAULT_SCHEMES,
     scale_factor: int = 64,
-    backend: str = "classic",
     seed: int = 0,
     progress: Progress = None,
 ) -> Dict:
@@ -49,8 +48,6 @@ def run(
             full ``"tenants:<preset>"`` reference.
         schemes: scheme registry names to compare.
         scale_factor: cache scaling divisor (as everywhere else).
-        backend: cache engine for every run (results are bit-exact
-            either way).
         seed: top-level trace/scheme seed.
     """
     ref = workload if ":" in workload else f"tenants:{workload}"
@@ -63,7 +60,6 @@ def run(
             scheme=scheme,
             seed=seed,
             instructions=instructions,
-            backend=backend,
         )
         for scheme in schemes
     ]

@@ -58,10 +58,6 @@ class RunOptions:
             :class:`~repro.check.InvariantViolation` instead of silently
             corrupting results. Off by default (it audits the whole cache
             periodically — see ``docs/testing.md`` for the overhead).
-        backend: cache engine, ``"classic"`` or ``"vector"`` (see
-            :func:`repro.cache.backends.build_cache`). The engines are
-            certified bit-exact, so this is a speed knob, not a result
-            knob — it is excluded from campaign fingerprints.
     """
 
     instructions: Optional[int] = None
@@ -72,7 +68,6 @@ class RunOptions:
     standalone_cache: object = None
     store: Optional[str] = None
     check: bool = False
-    backend: str = "classic"
 
 
 def resolve_run_options(

@@ -85,11 +85,6 @@ class RunSpec:
     #: run produces the same result as an unchecked one, or raises
     #: :class:`~repro.check.InvariantViolation`.
     check: bool = False
-    #: Cache engine, ``"classic"`` or ``"vector"``. The backends are
-    #: certified bit-exact (``repro-sim check fuzz --backend vector``),
-    #: so this is a speed knob only — campaign fingerprints exclude it
-    #: and a stored result satisfies a spec under either backend.
-    backend: str = "classic"
     #: Cluster-granular management (shared-data workloads only): cap the
     #: number of accounting clusters (see :mod:`repro.clustering`).
     #: ``None`` = per-core management. Part of the campaign fingerprint —
@@ -174,7 +169,6 @@ def _run_indexed_spec(item):
             instructions=spec.instructions,
             scheme_kwargs=spec.scheme_kwargs,
             telemetry=spec.telemetry,
-            backend=spec.backend,
             clusters=spec.clusters,
         )
     except Exception as exc:
@@ -242,7 +236,6 @@ def _execute_specs(
                     instructions=spec.instructions,
                     scheme_kwargs=spec.scheme_kwargs,
                     telemetry=spec.telemetry,
-                    backend=spec.backend,
                     clusters=spec.clusters,
                 )
             except Exception as exc:
@@ -373,7 +366,6 @@ def parallel_compare_schemes(
     progress=None,
     jobs: Optional[int] = None,
     telemetry: bool = False,
-    backend: str = "classic",
 ) -> Dict[str, Dict[str, WorkloadResult]]:
     """The (mixes × schemes) grid behind every figure, executed by the pool.
 
@@ -390,7 +382,6 @@ def parallel_compare_schemes(
             instructions=instructions,
             scheme_kwargs=scheme_kwargs.get(scheme),
             telemetry=telemetry,
-            backend=backend,
         )
         for mix in mixes
         for scheme in schemes

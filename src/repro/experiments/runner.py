@@ -24,11 +24,10 @@ per-interval trace in ``result.telemetry``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.cache.backends import build_cache
+from repro.cache.cache import SharedCache
 from repro.cpu.memory import MemoryModel
 from repro.cpu.system import CoreResult, MultiCoreSystem, run_standalone
 from repro.experiments.configs import MachineConfig
@@ -128,22 +127,6 @@ class WorkloadResult:
     def slowdown(self, core: int) -> float:
         """``IPC^MP / IPC^SP`` of one core (1 = no slowdown)."""
         return self.cores[core].ipc / self.standalone[core]
-
-
-def _resolve_mix(mix: Union[str, Sequence]) -> tuple:
-    """Deprecated: resolve through :func:`repro.workloads.resolve_workload`.
-
-    The historical private helper, kept as a shim for callers that reached
-    into it directly. Returns ``(label, profiles)`` like it always did.
-    """
-    warnings.warn(
-        "_resolve_mix is deprecated; use repro.workloads.resolve_workload() "
-        "and WorkloadSource.profiles() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    source = resolve_workload(mix)
-    return source.label, source.profiles()
 
 
 def _standalone_policy_key(policy) -> str:
@@ -316,7 +299,6 @@ def run_workload(
     standalone_cache: Optional[StandaloneIPCCache] = None,
     options=None,
     check: bool = False,
-    backend: str = "classic",
     clusters: Optional[int] = None,
 ) -> WorkloadResult:
     """Run one mix under one scheme and report the paper's metrics.
@@ -345,10 +327,6 @@ def run_workload(
             (:func:`repro.check.attach_checker`) to the shared cache and
             audit it once more after the run; raises
             :class:`~repro.check.InvariantViolation` on any inconsistency.
-        backend: cache engine, ``"classic"`` or ``"vector"``; results are
-            certified bit-exact either way (``repro-sim check fuzz
-            --backend vector``). Configurations the vector engine cannot
-            represent fall back to classic with a ``RuntimeWarning``.
         clusters: cluster-granular management for shared-data workloads
             (see :mod:`repro.clustering`); raises for workload kinds
             that do not support it.
@@ -364,8 +342,6 @@ def run_workload(
             standalone_cache = options.standalone_cache
         if check is False:
             check = options.check
-        if backend == "classic":
-            backend = getattr(options, "backend", "classic")
     source = resolve_workload(mix)
     if source.kind == "shared":
         # Shared-data scale-out workloads replay through the clustering
@@ -382,7 +358,6 @@ def run_workload(
             telemetry=telemetry,
             standalone_cache=standalone_cache,
             check=check,
-            backend=backend,
             clusters=clusters,
         )
     if clusters is not None:
@@ -405,7 +380,6 @@ def run_workload(
             telemetry=telemetry,
             standalone_cache=standalone_cache,
             check=check,
-            backend=backend,
         )
     label, profiles = source.label, source.profiles()
     if len(profiles) != config.num_cores:
@@ -431,22 +405,8 @@ def run_workload(
     scheme_obj, policy = build_scheme(
         scheme, config.num_cores, sp_ipcs, **(scheme_kwargs or {})
     )
-    if check and backend != "classic":
-        # The invariant checker audits the classic object model (it walks
-        # CacheSet lists); a checked run always uses the classic engine.
-        warnings.warn(
-            "check=True audits the classic engine; ignoring backend="
-            f"{backend!r} for this run",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        backend = "classic"
-    cache, _ = build_cache(
-        config.geometry,
-        config.num_cores,
-        policy=policy,
-        scheme=scheme_obj,
-        backend=backend,
+    cache = SharedCache(
+        config.geometry, config.num_cores, policy=policy, scheme=scheme_obj
     )
     checker = None
     if check:

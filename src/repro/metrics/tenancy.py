@@ -5,7 +5,7 @@ the operator watches the *hit rate* (throughput), the *p99 miss-run
 length* (tail latency — a long unbroken run of misses is a stalled
 tenant), the *SLO-attainment fraction* (how often the tenant met its
 target, interval by interval), and *fairness* across tenants. This module
-computes all four from data the engines already produce: per-access hit
+computes all four from data the engine already produces: per-access hit
 arrays (chunked, via :class:`MissRunTracker`) and the per-interval
 samples a :class:`~repro.telemetry.TelemetryRecorder` records.
 

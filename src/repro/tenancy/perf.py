@@ -10,9 +10,8 @@ policies run unchanged with *requests* standing in for instructions and
 *service cost* standing in for cycles.
 
 The provider reads the cache's live interval counters at the moment the
-scheme (or the telemetry recorder) asks — both engines flush their
-deferred counts before firing the interval boundary, so the values are
-exact and identical across backends.
+scheme (or the telemetry recorder) asks, inside the interval boundary,
+so the values are exact.
 """
 
 from __future__ import annotations

@@ -16,15 +16,15 @@ same :class:`~repro.experiments.runner.WorkloadResult` out — but the
   under the scheme's baseline policy (memoised like the ``IPC^SP``
   runs), yielding both the normalisation IPCs and the solo hit rates
   that set tenant-relative SLO targets;
-- replay is chunked through ``access_many`` on pre-encoded traces, so
-  the classic and vector engines consume byte-identical streams and
-  produce bit-identical results.
+- replay is chunked through ``access_many`` on pre-encoded traces,
+  which sheds the per-access call overhead; the result does not depend
+  on the chunk size.
 
-Interval cadence: scheme runs use the engines' natural miss-driven
+Interval cadence: scheme runs use the engine's natural miss-driven
 interval machinery. Unmanaged (scheme-less) runs never fire intervals,
 so the driver records a telemetry sample at every generation-chunk
-boundary instead — a fixed request window, identical across backends —
-which keeps SLO-attainment defined for the LRU baseline too.
+boundary instead — a fixed request window — which keeps SLO-attainment
+defined for the LRU baseline too.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-import warnings
 from typing import Optional, Union
 
 import numpy as np
 
-from repro.cache.backends import build_cache
+from repro.cache.cache import SharedCache
 from repro.cache.encode import encode_accesses
 from repro.cpu.system import CoreResult
 from repro.experiments.configs import MachineConfig
@@ -76,7 +75,6 @@ def tenant_standalone(
     total_requests: Optional[int] = None,
     seed: int = 0,
     cache: Optional[StandaloneIPCCache] = None,
-    backend: str = "classic",
 ):
     """Per-tenant solo baselines on the full cache (memoised).
 
@@ -108,9 +106,7 @@ def tenant_standalone(
         ipc = cache.get(key + ("ipc",))
         rate = cache.get(key + ("hit_rate",))
         if ipc is None or rate is None:
-            solo_cache, _ = build_cache(
-                config.geometry, 1, policy=policy, scheme=None, backend=backend
-            )
+            solo_cache = SharedCache(config.geometry, 1, policy=policy)
             provider = TenantPerfProvider(solo_cache)
             for cores, addrs in source.tenant_chunks(index, requests, seed):
                 solo_cache.access_many(encode_accesses(cores, addrs, config.geometry))
@@ -137,7 +133,6 @@ def run_tenant_workload(
     telemetry: Union[bool, TelemetryRecorder] = False,
     standalone_cache: Optional[StandaloneIPCCache] = None,
     check: bool = False,
-    backend: str = "classic",
 ) -> WorkloadResult:
     """Run one tenant workload under one scheme; report the paper's metrics.
 
@@ -148,7 +143,7 @@ def run_tenant_workload(
             count, and ``instructions`` (or ``config.instructions``) is
             the total shared request budget.
         scheme/seed/instructions/scheme_kwargs/telemetry/standalone_cache/
-            check/backend: as in
+            check: as in
             :func:`~repro.experiments.runner.run_workload`.
 
     Returns:
@@ -171,26 +166,13 @@ def run_tenant_workload(
         total_requests=total_requests,
         seed=seed,
         cache=standalone_cache,
-        backend=backend,
     )
 
     scheme_obj, policy = build_scheme(
         scheme, config.num_cores, sp_ipcs, **(scheme_kwargs or {})
     )
-    if check and backend != "classic":
-        warnings.warn(
-            "check=True audits the classic engine; ignoring backend="
-            f"{backend!r} for this run",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        backend = "classic"
-    cache, _ = build_cache(
-        config.geometry,
-        config.num_cores,
-        policy=policy,
-        scheme=scheme_obj,
-        backend=backend,
+    cache = SharedCache(
+        config.geometry, config.num_cores, policy=policy, scheme=scheme_obj
     )
     checker = None
     if check:

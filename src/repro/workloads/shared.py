@@ -24,8 +24,8 @@ Same load-bearing constraints as :mod:`repro.workloads.tenants`:
   per-core :func:`~repro.util.rng.derive_seed`-labelled PCG64 streams
   consumed strictly in that core's request order (the per-request
   ``(select, key)`` uniform pair is drawn as one sequential block), so
-  the concatenated trace is independent of the chunk size and the
-  classic and vector engines replay byte-identical streams.
+  the concatenated trace, and so every replay, is independent of the
+  chunk size.
 - **Addressable** — core ``c``'s private key ``k`` maps to
   ``c * 2**36 + permute(k)``; sharing group ``g``'s key maps to
   ``(num_cores + g) * 2**36 + permute(k)``, a disjoint address region

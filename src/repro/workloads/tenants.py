@@ -14,14 +14,13 @@ Design constraints, all load-bearing:
   requests, but are generated chunk by chunk as numpy arrays
   (:meth:`TenantWorkload.chunks`); nothing proportional to the trace
   length is ever held in memory, and each chunk encodes directly via
-  :func:`repro.cache.encode.encode_accesses` for the vector backend.
+  :func:`repro.cache.encode.encode_accesses` for batch replay.
 - **Deterministic.** The stream is a pure function of the workload
   identity and the seed: tenant interleaving and per-tenant key draws
   come from independent :func:`~repro.util.rng.derive_seed`-labelled
   PCG64 streams, and per-tenant draws are consumed in request order, so
-  the concatenated trace does not depend on the chunk size. Replaying
-  the same workload through the classic and vector engines therefore
-  produces bit-identical results.
+  the concatenated trace does not depend on the chunk size, and
+  neither does a replay's result.
 - **Addressable.** Tenant ``t``'s key ``k`` maps to block address
   ``t * 2**36 + permute(k)`` — the same per-owner address stride the
   timing model uses — where ``permute`` is an affine bijection that

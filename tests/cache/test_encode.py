@@ -1,4 +1,4 @@
-"""Tests for the one-shot trace pre-encoder shared by both backends."""
+"""Tests for the one-shot trace pre-encoder behind `SharedCache.access_many`."""
 
 import numpy as np
 import pytest

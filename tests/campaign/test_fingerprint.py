@@ -74,14 +74,6 @@ class TestCanonicalisation:
         b = RunSpec(mix="Q1", scheme="lru", telemetry=True)
         assert spec_fingerprint(a, CONFIG) == spec_fingerprint(b, CONFIG)
 
-    def test_backend_excluded(self):
-        """Classic and vector engines are certified bit-exact, so a stored
-        result satisfies a spec under either backend — same cache key."""
-        classic = RunSpec(mix="Q1", scheme="prism-h", seed=3, backend="classic")
-        vector = RunSpec(mix="Q1", scheme="prism-h", seed=3, backend="vector")
-        assert spec_fingerprint(classic, CONFIG) == spec_fingerprint(vector, CONFIG)
-        assert "backend" not in canonical_payload(classic, CONFIG)
-
 
 class TestWorkloadSourceIdentity:
     """Fingerprints for registry-resolved workload sources.

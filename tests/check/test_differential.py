@@ -1,24 +1,26 @@
 """Differential-oracle tests: engine vs. reference, access for access.
 
-The heavy 200-case campaign runs in CI (``repro-sim check fuzz``); here a
-bounded fuzz plus Hypothesis-driven cases keep the tier-1 suite fast while
-still covering every reference scheme, and a sabotage test demonstrates
-the oracle actually has teeth — an injected engine bug is caught within a
-few dozen accesses.
+Every case replays the engine per access and then batched through
+``access_many``. The heavy 200-case campaign runs in CI (``repro-sim check
+fuzz``); here a bounded fuzz plus Hypothesis-driven cases keep the tier-1
+suite fast while still covering every reference scheme, and sabotage
+tests demonstrate the oracle actually has teeth — an injected engine bug
+is caught within a few dozen accesses, in either pass.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.cache.cache import SharedCache
 from repro.check.differential import (
     DifferentialCase,
     _build_engine,
-    _build_vector_engine,
     compare_batched,
     compare_run,
     fuzz,
     make_stream,
     run_case,
+    slab_count,
 )
 from repro.check.reference import REFERENCE_SCHEMES, build_reference
 
@@ -174,55 +176,61 @@ class TestSharingAxes:
         _assert_ok(run_case(case))
 
 
-class TestVectorBackend:
-    """``backend="vector"``: the batched engine under the same oracle.
+class TestBatchedPass:
+    """The second half of every case: ``access_many`` against the reference.
 
-    The 200-case certification runs in CI (``repro-sim check fuzz
-    --backend vector``); this is the fast tier-1 slice of it.
+    ``run_case`` replays a fresh engine through the batch path after the
+    per-access pass, so the fuzz tests above already cover it; these
+    tests pin its slab sweep and show it has teeth of its own.
     """
-
-    @pytest.mark.parametrize("scheme", sorted(REFERENCE_SCHEMES))
-    def test_every_reference_scheme_agrees(self, scheme):
-        result = run_case(
-            DifferentialCase(scheme=scheme, seed=99, accesses=1200),
-            backend="vector",
-        )
-        _assert_ok(result)
-
-    def test_bounded_vector_fuzz_finds_no_divergence(self):
-        results = fuzz(cases=6, seed=5, backend="vector")
-        for result in results:
-            _assert_ok(result)
-        assert sum(r.intervals for r in results) > 0
-
-    def test_vector_fuzz_draws_the_same_cases_as_classic(self):
-        """The backend changes the engine under test, never the cases."""
-        vec = fuzz(cases=4, seed=11, backend="vector")
-        cls = fuzz(cases=4, seed=11, backend="classic")
-        assert [r.case for r in vec] == [r.case for r in cls]
-
-    def test_unknown_backend_rejected(self):
-        case = DifferentialCase(scheme="lru", seed=0, accesses=100)
-        with pytest.raises(ValueError, match="unknown backend"):
-            run_case(case, backend="gpu")
 
     def test_compare_batched_has_teeth(self):
         """Mismatched PriSM draw seeds must be caught access for access."""
         case = DifferentialCase(scheme="prism-h", seed=7, accesses=1500,
                                 scheme_kwargs={"seed": 1})
-        skewed = DifferentialCase(scheme="prism-h", seed=7, accesses=1500,
-                                  scheme_kwargs={"seed": 2})
-        engine = _build_vector_engine(case, None, None)
-        classic = _build_engine(skewed, None, None)
-        divergences = compare_batched(engine, classic, make_stream(case))
+        engine = _build_engine(case, None, None)
+        reference = build_reference(case.scheme, case.num_cores, case.geometry,
+                                    scheme_kwargs={"seed": 2})
+        divergences = compare_batched(engine, reference, make_stream(case))
         assert divergences, "compare_batched missed a draw-stream mismatch"
 
     def test_slab_count_does_not_change_the_verdict(self):
         """State must carry over between access_many calls exactly."""
         case = DifferentialCase(scheme="prism-h", seed=7, accesses=1500,
                                 scheme_kwargs={"seed": 1})
-        for slabs in (1, 5):
-            engine = _build_vector_engine(case, None, None)
-            classic = _build_engine(case, None, None)
-            assert compare_batched(engine, classic, make_stream(case),
+        for slabs in (1, 5, 1500):
+            engine = _build_engine(case, None, None)
+            reference = build_reference(case.scheme, case.num_cores,
+                                        case.geometry,
+                                        scheme_kwargs=case.scheme_kwargs)
+            assert compare_batched(engine, reference, make_stream(case),
                                    slabs=slabs) == []
+
+    def test_slab_count_is_swept_by_the_case_seed(self):
+        counts = {slab_count(DifferentialCase(scheme="lru", seed=s))
+                  for s in range(200)}
+        assert min(counts) == 1 and max(counts) == 97
+        assert slab_count(DifferentialCase(scheme="lru", seed=7)) == 8
+
+    def test_run_case_detects_a_bug_in_the_batch_path_only(self, monkeypatch):
+        """A carry-over bug in access_many must fail the case.
+
+        Sabotage: every ``access_many`` call restarts the interval
+        countdown, forgetting the misses counted by the previous call.
+        Per-access replay is untouched, so only the batched pass can see
+        it; the case's 8 slabs put 7 such restarts into the stream.
+        """
+        case = DifferentialCase(scheme="prism-h", seed=7, accesses=1500,
+                                scheme_kwargs={"seed": 1})
+        assert slab_count(case) > 1
+        _assert_ok(run_case(case))
+        access_many = SharedCache.access_many
+
+        def forgetful(self, cores, addrs=None, collect=False):
+            self._interval_left = self._interval_len
+            return access_many(self, cores, addrs, collect=collect)
+
+        monkeypatch.setattr(SharedCache, "access_many", forgetful)
+        result = run_case(case)
+        assert result.divergences, "batched pass missed a carry-over bug"
+        assert all(d.what.startswith("batched ") for d in result.divergences)

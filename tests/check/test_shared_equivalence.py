@@ -1,4 +1,4 @@
-"""Cross-backend equivalence and determinism on shared-data traces.
+"""Batched-replay equivalence and determinism on shared-data traces.
 
 The shared family is the scale-out counterpart of the tenant family
 (tests/check/test_tenant_equivalence.py): cores touch private regions
@@ -6,10 +6,10 @@ The shared family is the scale-out counterpart of the tenant family
 a ``core_map`` — charge a cluster-level accounting owner. This slice of
 the matrix certifies that
 
-- the vector engine agrees with the classic engine access for access on
-  a shared trace, with sharer tracking and a cluster map installed;
-- the full scale-out driver reports bit-identical results under either
-  backend, clustered or not;
+- the engine's batch path (``access_many``, which the scale-out driver
+  replays through) agrees with the reference access for access on a
+  shared trace, with sharer tracking and a cluster map installed;
+- a checked run reports the same result as an unchecked one;
 - two runs of the same spec are byte-identical (the determinism the
   campaign store's fingerprint cache relies on) — including the pinned
   16-core scale-out smoke digest.
@@ -18,20 +18,12 @@ the matrix certifies that
 import pytest
 
 from repro.campaign.fingerprint import spec_fingerprint
-from repro.check.differential import (
-    DifferentialCase,
-    _build_engine,
-    _build_vector_engine,
-    compare_batched,
-)
-from repro.clustering.scaleout import run_shared_workload, shared_standalone
+from repro.check.differential import DifferentialCase, _build_engine, compare_batched
+from repro.check.reference import build_reference
+from repro.clustering.scaleout import run_shared_workload
 from repro.experiments.configs import machine
 from repro.experiments.parallel import RunSpec
-from repro.experiments.runner import (
-    DEFAULT_STANDALONE_CACHE,
-    StandaloneIPCCache,
-    run_workload,
-)
+from repro.experiments.runner import DEFAULT_STANDALONE_CACHE, run_workload
 from repro.workloads.shared import get_shared_workload
 
 CFG = machine(4, instructions=20_000)
@@ -47,20 +39,28 @@ def shared_stream(requests=1500, seed=7, chunk_size=512):
 
 
 class TestSharedStreamEquivalence:
-    """Vector vs classic engine over the same shared trace."""
+    """Batched engine vs per-access reference over the same shared trace."""
 
     @pytest.mark.parametrize("scheme", ["lru", "prism-h"])
     @pytest.mark.parametrize("core_map", [None, (0, 1, 0, 1)])
-    def test_backends_agree_with_sharers_and_clusters(self, scheme, core_map):
+    def test_batched_engine_agrees_with_reference(self, scheme, core_map):
         case = DifferentialCase(
             scheme=scheme, num_cores=4, num_sets=16, assoc=4, seed=7, accesses=0,
             scheme_kwargs={"seed": 1} if scheme.startswith("prism") else None,
             core_map=core_map, track_sharers=True,
         )
-        engine = _build_vector_engine(case, None, None)
-        classic = _build_engine(case, None, None)
-        divergences = compare_batched(engine, classic, shared_stream())
+        engine = _build_engine(case, None, None)
+        reference = build_reference(
+            case.scheme, case.acct_cores, case.geometry,
+            scheme_kwargs=case.scheme_kwargs,
+            core_map=case.core_map, track_sharers=True,
+        )
+        divergences = compare_batched(engine, reference, shared_stream())
         assert divergences == [], "\n".join(str(d) for d in divergences)
+        # The audits that make this slice worth having actually ran.
+        assert reference.scan_sharers()
+        if core_map is not None:
+            assert engine.scan_charges() == reference.scan_charges()
 
     def test_stream_exercises_every_core(self):
         assert {core for core, _ in shared_stream()} == {0, 1, 2, 3}
@@ -90,13 +90,14 @@ class TestRunSharedWorkload:
         with pytest.raises(ValueError, match="clusters"):
             run_workload("tenants:smoke4", CFG, "lru", clusters=2)
 
-    def test_check_forces_classic_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="check=True audits the classic"):
-            result = run_shared_workload(
-                get_shared_workload("smoke4"), CFG, "prism-h", seed=1,
-                backend="vector", check=True, clusters=2,
-            )
-        assert result.antt > 0
+    def test_checked_run_matches_unchecked(self):
+        """The invariant checker observes a clustered run, never changes it."""
+        source = get_shared_workload("smoke4")
+        checked = run_shared_workload(
+            source, CFG, "prism-h", seed=1, check=True, clusters=2
+        )
+        unchecked = run_shared_workload(source, CFG, "prism-h", seed=1, clusters=2)
+        assert checked == unchecked
 
     def test_clustering_changes_managed_runs(self):
         """A managed scheme at cluster granularity is a different run."""
@@ -109,42 +110,15 @@ class TestRunSharedWorkload:
         assert per_core != clustered
 
 
-class TestBackendEquivalence:
-    @pytest.mark.parametrize("scheme", ["lru", "prism-h", "prism-f"])
-    @pytest.mark.parametrize("clusters", [None, 2])
-    def test_vector_matches_classic_bit_for_bit(self, scheme, clusters):
-        source = get_shared_workload("smoke4")
-        classic = run_shared_workload(source, CFG, scheme, seed=3, clusters=clusters)
-        vector = run_shared_workload(
-            source, CFG, scheme, seed=3, clusters=clusters, backend="vector"
-        )
-        assert classic == vector  # dataclass eq: every field, exactly
-
-    def test_solo_baselines_match_across_backends(self):
-        source = get_shared_workload("smoke4")
-        classic = shared_standalone(source, CFG, cache=StandaloneIPCCache())
-        vector = shared_standalone(
-            source, CFG, cache=StandaloneIPCCache(), backend="vector"
-        )
-        assert classic == vector
-
-
 class TestDeterminism:
-    @pytest.mark.parametrize("backend", ["classic", "vector"])
-    def test_two_runs_byte_identical(self, backend):
+    def test_two_runs_byte_identical(self):
         """Same spec twice (cold solo cache both times) -> equal results."""
         source = get_shared_workload("smoke4")
-        a = run_shared_workload(
-            source, CFG, "prism-f", seed=3, clusters=2, backend=backend
-        )
+        a = run_shared_workload(source, CFG, "prism-f", seed=3, clusters=2)
         DEFAULT_STANDALONE_CACHE.clear()
-        b = run_shared_workload(
-            source, CFG, "prism-f", seed=3, clusters=2, backend=backend
-        )
+        b = run_shared_workload(source, CFG, "prism-f", seed=3, clusters=2)
         assert a == b
-        c = run_shared_workload(
-            source, CFG, "prism-f", seed=4, clusters=2, backend=backend
-        )
+        c = run_shared_workload(source, CFG, "prism-f", seed=4, clusters=2)
         assert a != c
 
     def test_scaleout_smoke_fingerprint_pinned(self):

@@ -7,7 +7,6 @@ from repro.experiments.options import RunOptions
 from repro.experiments.runner import (
     DEFAULT_STANDALONE_CACHE,
     StandaloneIPCCache,
-    _resolve_mix,
     run_workload,
     standalone_ipcs,
 )
@@ -106,7 +105,7 @@ class TestRunWorkload:
 
 
 class TestRemovedDeprecatedAPIs:
-    """The PR-2-era shims are gone; the replacement paths hold."""
+    """The deprecated shims and the engine-selection knob are gone."""
 
     def test_extra_alias_removed(self):
         result = run_workload("Q1", CFG, "lru")
@@ -118,11 +117,17 @@ class TestRemovedDeprecatedAPIs:
 
         assert not hasattr(runner, "clear_standalone_cache")
 
-    def test_resolve_mix_shim_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="resolve_workload"):
-            label, profiles = _resolve_mix("Q1")
-        assert label == "Q1"
-        assert len(profiles) == 4
+    def test_resolve_mix_removed(self):
+        import repro.experiments.runner as runner
+
+        assert not hasattr(runner, "_resolve_mix")
+
+    def test_backend_knob_removed(self):
+        """One cache engine: no call site chooses between engines."""
+        with pytest.raises(TypeError, match="backend"):
+            run_workload("Q1", CFG, "lru", backend="classic")
+        with pytest.raises(TypeError, match="backend"):
+            RunOptions(backend="classic")
 
 
 class TestStandaloneCache:
@@ -166,36 +171,3 @@ class TestStandaloneCache:
         )
         assert len(private) == 4
         assert len(DEFAULT_STANDALONE_CACHE) == 0
-
-
-class TestBackendSelection:
-    """run_workload's backend axis: bit-exact results, loud fallbacks."""
-
-    def test_vector_backend_matches_classic(self):
-        classic = run_workload("Q1", CFG, "prism-h")
-        vector = run_workload("Q1", CFG, "prism-h", backend="vector")
-        assert vector.antt == classic.antt
-        assert vector.fairness == classic.fairness
-        for a, b in zip(classic.cores, vector.cores):
-            assert (a.hits, a.misses, a.instructions) == (b.hits, b.misses, b.instructions)
-            assert a.ipc == b.ipc
-
-    def test_options_supply_backend(self):
-        explicit = run_workload("Q1", CFG, "dip", backend="vector")
-        via_options = run_workload(
-            "Q1", CFG, "dip", options=RunOptions(backend="vector")
-        )
-        assert via_options.antt == explicit.antt
-
-    def test_check_forces_classic(self):
-        """The invariant checker walks classic CacheSet lists; check wins."""
-        with pytest.warns(RuntimeWarning, match="check=True audits the classic"):
-            result = run_workload("Q1", CFG, "lru", backend="vector", check=True)
-        assert result.antt > 0
-
-    def test_unsupported_scheme_falls_back_loudly(self):
-        """UCP is not vectorisable: classic fallback plus a RuntimeWarning."""
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            fell_back = run_workload("Q1", CFG, "ucp", backend="vector")
-        classic = run_workload("Q1", CFG, "ucp")
-        assert fell_back.antt == classic.antt

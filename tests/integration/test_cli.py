@@ -36,16 +36,16 @@ class TestParser:
         assert args.cases == 200
         assert args.seed == 0
         assert args.schemes is None
-        assert args.backend == "classic"
 
-    def test_run_backend_flag(self):
-        args = build_parser().parse_args(["run", "--mix", "Q1",
-                                          "--backend", "vector"])
-        assert args.backend == "vector"
-        assert build_parser().parse_args(["run", "--mix", "Q1"]).backend == "classic"
+    @pytest.mark.parametrize("argv", [
+        ["run", "--mix", "Q1"],
+        ["tenants"],
+        ["check", "fuzz"],
+    ])
+    def test_backend_flag_removed(self, argv):
+        """There is one cache engine, so no command selects one."""
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--mix", "Q1",
-                                       "--backend", "turbo"])
+            build_parser().parse_args(argv + ["--backend", "vector"])
 
     def test_check_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -139,20 +139,7 @@ class TestCommands:
         assert main(["check", "fuzz", "--cases", "4", "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "4 cases" in out
-        assert "agree on every case" in out
-
-    def test_check_fuzz_vector_backend(self, capsys):
-        assert main(["check", "fuzz", "--cases", "3", "--backend", "vector",
-                     "--quiet"]) == 0
-        out = capsys.readouterr().out
-        assert "[backend=vector]" in out
-        assert "vector engine agrees" in out
-
-    def test_run_vector_backend(self, capsys):
-        assert main(["run", "--mix", "Q1", "--scheme", "prism-h",
-                     "--instructions", "20000", "--backend", "vector"]) == 0
-        out = capsys.readouterr().out
-        assert "ANTT=" in out
+        assert "agree on every case, per access and batched" in out
 
     def test_check_fuzz_scheme_filter(self, capsys):
         assert main(["check", "fuzz", "--cases", "3", "--schemes", "lru",

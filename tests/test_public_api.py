@@ -71,14 +71,6 @@ class TestWorkloadConstructionAPI:
                      "slo_attainment", "tenant_hit_rates", "DEFAULT_SLO_FRACTION"):
             assert name in metrics.__all__, name
 
-    def test_resolve_mix_shim_is_deprecated(self):
-        from repro.experiments.runner import _resolve_mix
-
-        with pytest.warns(DeprecationWarning, match="resolve_workload"):
-            label, profiles = _resolve_mix("Q7")
-        assert label == "Q7"
-        assert len(profiles) == 4
-
 
 class TestPolicyRegistry:
     def test_make_policy_known_names(self):
