@@ -2,14 +2,16 @@
 
 from conftest import INSTRUCTIONS, mixes_subset
 
-from repro.experiments import fig06_cores_eq_ways
+from repro.experiments import RunOptions, fig06_cores_eq_ways
 from repro.workloads.mixes import mixes_for_cores
 
 
 def test_fig6_cores_equal_ways(benchmark, report):
     mixes = mixes_subset(mixes_for_cores(16))
     result = benchmark.pedantic(
-        lambda: fig06_cores_eq_ways.run(instructions=INSTRUCTIONS[16], mixes=mixes),
+        lambda: fig06_cores_eq_ways.run(
+            options=RunOptions(instructions=INSTRUCTIONS[16]), mixes=mixes
+        ),
         rounds=1,
         iterations=1,
     )

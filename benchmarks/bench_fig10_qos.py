@@ -2,7 +2,7 @@
 
 from conftest import INSTRUCTIONS, mixes_subset
 
-from repro.experiments import fig10_qos
+from repro.experiments import RunOptions, fig10_qos
 from repro.workloads.mixes import mixes_for_cores
 
 
@@ -10,7 +10,8 @@ def test_fig10_qos(benchmark, report):
     mixes = mixes_subset(mixes_for_cores(16))
     result = benchmark.pedantic(
         lambda: fig10_qos.run(
-            instructions=INSTRUCTIONS[16], mixes=mixes, tolerance=0.25
+            options=RunOptions(instructions=INSTRUCTIONS[16]),
+            mixes=mixes, tolerance=0.25
         ),
         rounds=1,
         iterations=1,

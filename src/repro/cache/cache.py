@@ -441,7 +441,7 @@ class SharedCache:
             AccessResult, (False, set_index, evicted_core, evicted_addr)
         )
 
-    def access_many(self, cores, addrs=None, collect: bool = False):
+    def access_many(self, trace, collect: bool = False):
         """Replay many accesses, with the same results as :meth:`access`.
 
         The stream is pre-encoded (:mod:`repro.cache.encode`), so a trace
@@ -453,24 +453,13 @@ class SharedCache:
         one call.
 
         Args:
-            cores: an :class:`~repro.cache.encode.EncodedTrace`, or the
-                per-access core ids.
-            addrs: block addresses (required unless ``cores`` is already
-                an encoded trace).
+            trace: an :class:`~repro.cache.encode.EncodedTrace`.
             collect: build a :class:`BatchResults`;
                 leave off on throughput-critical replays.
 
         Returns:
             A ``BatchResults`` when ``collect``, else ``None``.
         """
-        from repro.cache.encode import EncodedTrace, encode_accesses
-
-        if isinstance(cores, EncodedTrace):
-            trace = cores
-        else:
-            if addrs is None:
-                raise TypeError("access_many needs addrs unless given an EncodedTrace")
-            trace = encode_accesses(cores, addrs, self.geometry)
         n = len(trace)
         hit_out = ec_out = ea_out = None
         if collect:

@@ -4,9 +4,8 @@ Before this module each figure's ``run()`` grew its own ad-hoc
 ``instructions=/seed=/progress=`` kwargs and the jobs knob travelled by
 environment variable only. :class:`RunOptions` bundles the cross-cutting
 run controls; the :func:`experiment_run` decorator gives every registry
-``run()`` the uniform signature ``run(options=None, **figure_kwargs)``
-while still accepting the legacy kwargs for one release (with
-``DeprecationWarning``).
+``run()`` the uniform signature ``run(options=None, **figure_kwargs)``.
+A run control passed as a bare keyword argument is a ``TypeError``.
 
 Figure-specific knobs (``core_counts``, ``bit_widths``, ...) stay plain
 kwargs — they are not run controls.
@@ -17,9 +16,8 @@ from __future__ import annotations
 import functools
 import inspect
 import os
-import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 __all__ = ["RunOptions", "resolve_run_options", "experiment_run"]
@@ -27,10 +25,6 @@ __all__ = ["RunOptions", "resolve_run_options", "experiment_run"]
 #: Same env vars the parallel executor reads (kept in sync by a test).
 JOBS_ENV = "REPRO_JOBS"
 STORE_ENV = "REPRO_STORE"
-
-#: Run controls the decorator still accepts as legacy keyword arguments.
-_LEGACY_KWARGS = ("instructions", "seed", "progress", "jobs", "telemetry")
-
 
 @dataclass(frozen=True)
 class RunOptions:
@@ -70,27 +64,30 @@ class RunOptions:
     check: bool = False
 
 
-def resolve_run_options(
-    options: Optional[RunOptions], legacy: dict, stacklevel: int = 3
-) -> RunOptions:
-    """Merge deprecated per-kwarg run controls into a :class:`RunOptions`.
+#: Every run control: a field of :class:`RunOptions`, never a bare kwarg.
+_RUN_CONTROLS = tuple(f.name for f in fields(RunOptions))
 
-    Every entry in ``legacy`` (the old ``instructions=``/``seed=``/...
-    kwargs, present only if the caller passed them) earns a
-    ``DeprecationWarning`` and overrides the corresponding ``options``
-    field.
+
+def resolve_run_options(options: Optional[RunOptions], kwargs: dict) -> RunOptions:
+    """``options`` (or the defaults), checked against the figure kwargs.
+
+    Raises:
+        TypeError: ``options`` is not a :class:`RunOptions`, or ``kwargs``
+            holds a run control, which belongs in ``options``.
     """
-    if options is None:
-        options = RunOptions()
-    if legacy:
-        names = ", ".join(sorted(legacy))
-        warnings.warn(
-            f"passing {names} as keyword argument(s) is deprecated; "
-            f"pass options=RunOptions({names}=...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
+    stray = sorted(name for name in kwargs if name in _RUN_CONTROLS)
+    if stray:
+        names = ", ".join(stray)
+        raise TypeError(
+            f"run controls are not figure keyword arguments: {names}; "
+            f"pass options=RunOptions({names}=...)"
         )
-        options = replace(options, **legacy)
+    if options is None:
+        return RunOptions()
+    if not isinstance(options, RunOptions):
+        raise TypeError(
+            f"options must be a RunOptions, not {type(options).__name__}"
+        )
     return options
 
 
@@ -129,20 +126,15 @@ def experiment_run(func):
     The wrapped function keeps its internal signature
     (``instructions=None, ..., seed=0, progress=None``); the wrapper
     exposes ``run(options=None, **figure_kwargs)``, forwards whichever
-    run controls the implementation declares, pins ``REPRO_JOBS`` /
+    run controls the implementation declares, and pins ``REPRO_JOBS`` /
     ``REPRO_STORE`` while it executes when ``options.jobs`` /
-    ``options.store`` are set, and accepts the legacy kwargs (and a bare
-    positional instruction count) with a ``DeprecationWarning``.
+    ``options.store`` are set.
     """
     accepted = set(inspect.signature(func).parameters)
 
     @functools.wraps(func)
     def wrapper(options=None, **kwargs):
-        legacy = {k: kwargs.pop(k) for k in _LEGACY_KWARGS if k in kwargs}
-        if isinstance(options, int):  # old positional instructions=
-            legacy["instructions"] = options
-            options = None
-        opts = resolve_run_options(options, legacy)
+        opts = resolve_run_options(options, kwargs)
         for name in ("instructions", "seed", "progress", "telemetry"):
             if name in accepted:
                 kwargs[name] = getattr(opts, name)

@@ -130,25 +130,6 @@ def test_batched_matches_per_access(kind, geo, slab, seed):
     _assert_equivalent(scalar, batched, kind)
 
 
-def test_classic_access_many_cores_addrs_form():
-    """access_many(cores, addrs) encodes internally — same as pre-encoded."""
-    stream = _stream(GEO_S, 9, 800)
-    cores = [c for c, _ in stream]
-    addrs = [a for _, a in stream]
-    via_pairs = SharedCache(GEO_S, NUM_CORES)
-    via_arrays = SharedCache(GEO_S, NUM_CORES)
-    via_pairs.access_many(encode_trace(stream, GEO_S))
-    via_arrays.access_many(cores, addrs)
-    assert via_pairs.stats.hits == via_arrays.stats.hits
-    assert via_pairs.stats.misses == via_arrays.stats.misses
-    assert via_pairs.occupancy == via_arrays.occupancy
-
-
-def test_access_many_needs_addrs_for_raw_cores():
-    with pytest.raises(TypeError, match="addrs"):
-        SharedCache(GEO_S, NUM_CORES).access_many([0, 1])
-
-
 class TestBatchResults:
     def _results(self):
         stream = _stream(GEO_S, 21, 400)

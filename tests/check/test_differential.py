@@ -226,9 +226,9 @@ class TestBatchedPass:
         _assert_ok(run_case(case))
         access_many = SharedCache.access_many
 
-        def forgetful(self, cores, addrs=None, collect=False):
+        def forgetful(self, trace, collect=False):
             self._interval_left = self._interval_len
-            return access_many(self, cores, addrs, collect=collect)
+            return access_many(self, trace, collect=collect)
 
         monkeypatch.setattr(SharedCache, "access_many", forgetful)
         result = run_case(case)

@@ -18,13 +18,9 @@ class TestResolveRunOptions:
     def test_none_becomes_defaults(self):
         assert resolve_run_options(None, {}) == RunOptions()
 
-    def test_legacy_kwargs_warn_and_override(self):
-        base = RunOptions(seed=1)
-        with pytest.warns(DeprecationWarning, match="instructions, seed"):
-            merged = resolve_run_options(
-                base, {"instructions": 500, "seed": 9}, stacklevel=2
-            )
-        assert merged == RunOptions(instructions=500, seed=9)
+    def test_run_control_kwargs_rejected(self):
+        with pytest.raises(TypeError, match="instructions, seed"):
+            resolve_run_options(RunOptions(seed=1), {"instructions": 500, "seed": 9})
 
     def test_no_legacy_no_warning(self):
         with warnings.catch_warnings():
@@ -58,17 +54,18 @@ class TestExperimentRunDecorator:
         assert result["instructions"] is None
         assert result["seed"] == 0
 
-    def test_legacy_kwargs_warn(self):
+    @pytest.mark.parametrize(
+        "control", ["instructions", "seed", "progress", "jobs", "telemetry"]
+    )
+    def test_bare_control_rejected(self, control):
+        """A bare run control would be overwritten by ``options``: refuse it."""
         run = self.make_run()
-        with pytest.warns(DeprecationWarning, match="RunOptions"):
-            result = run(instructions=55)
-        assert result["instructions"] == 55
+        with pytest.raises(TypeError, match=f"{control}.*RunOptions"):
+            run(**{control: 55})
 
-    def test_legacy_positional_instructions_warn(self):
-        run = self.make_run()
-        with pytest.warns(DeprecationWarning):
-            result = run(1000)
-        assert result["instructions"] == 1000
+    def test_positional_instructions_rejected(self):
+        with pytest.raises(TypeError, match="RunOptions, not int"):
+            self.make_run()(1000)
 
     def test_jobs_pinned_to_environment_during_run(self, monkeypatch):
         monkeypatch.delenv(options_module.JOBS_ENV, raising=False)

@@ -1,9 +1,14 @@
-"""Tests for the multi-tenant replay driver."""
+"""Tests for the trace-replay driver: the tenant family, and the
+stand-alone baselines of both trace families."""
 
+import dataclasses
 import math
 
 import pytest
 
+from repro.cache.cache import SharedCache
+from repro.check import invariants
+from repro.clustering.scaleout import shared_standalone
 from repro.experiments.configs import machine
 from repro.experiments.runner import (
     DEFAULT_STANDALONE_CACHE,
@@ -11,9 +16,25 @@ from repro.experiments.runner import (
     run_workload,
 )
 from repro.tenancy import run_tenant_workload, tenant_standalone
+from repro.workloads.shared import SharedWorkload, get_shared_workload
 from repro.workloads.tenants import DEFAULT_CHUNK, get_tenant_workload
 
 CFG = machine(4, instructions=20_000)
+
+#: (stand-alone entry point, 4-owner workload) per trace family.
+FAMILIES = [
+    pytest.param(tenant_standalone, "tenants:smoke4", id="tenants:smoke4"),
+    pytest.param(shared_standalone, "shared:smoke4", id="shared:smoke4"),
+]
+
+
+def _other_identity(ref):
+    """Another workload of ``ref``'s family, and a machine to run it on."""
+    if ref.startswith("tenants:"):
+        return get_tenant_workload("web8"), machine(8, instructions=20_000)
+    spec = get_shared_workload("smoke4").spec
+    # Same name and width, different identity.
+    return SharedWorkload(dataclasses.replace(spec, keys=2 * spec.keys)), CFG
 
 
 class TestRunTenantWorkload:
@@ -78,11 +99,23 @@ class TestRunTenantWorkload:
         quiet = run_tenant_workload("tenants:smoke4", CFG, "prism-h", seed=1)
         assert quiet.telemetry is None
 
-    def test_checked_run_matches_unchecked(self):
-        """The invariant checker observes a tenant run, never changes it."""
+    def test_checked_run_matches_unchecked(self, monkeypatch):
+        """The invariant checker and sharer tracking observe a tenant run,
+        never change it."""
+        checked_caches = []
+        attach = invariants.attach_checker
+
+        def spy(cache, *args, **kwargs):
+            checked_caches.append(cache)
+            return attach(cache, *args, **kwargs)
+
+        monkeypatch.setattr(invariants, "attach_checker", spy)
         checked = run_tenant_workload(
             "tenants:smoke4", CFG, "prism-h", seed=1, check=True
         )
+        (cache,) = checked_caches
+        assert cache.track_sharers
+        assert all(sharers for *_, sharers in cache.scan_sharers())
         assert checked == run_tenant_workload("tenants:smoke4", CFG, "prism-h", seed=1)
 
     def test_dispatches_through_run_workload(self):
@@ -93,15 +126,45 @@ class TestRunTenantWorkload:
 
 
 class TestStandaloneBaselines:
-    def test_memoised_per_tenant(self):
+    @pytest.mark.parametrize("standalone,ref", FAMILIES)
+    def test_memoised_per_owner(self, standalone, ref):
         private = StandaloneIPCCache()
-        ipcs, rates = tenant_standalone("tenants:smoke4", CFG, cache=private)
+        ipcs, rates = standalone(ref, CFG, cache=private)
         assert len(ipcs) == len(rates) == 4
-        assert len(private) == 8  # ipc + hit_rate per tenant
+        assert len(private) == 8  # ipc + hit_rate per owner
         assert len(DEFAULT_STANDALONE_CACHE) == 0
-        again = tenant_standalone("tenants:smoke4", CFG, cache=private)
-        assert again == (ipcs, rates)
+
+    @pytest.mark.parametrize("standalone,ref", FAMILIES)
+    def test_recall_hits_the_memo(self, standalone, ref, monkeypatch):
+        private = StandaloneIPCCache()
+        first = standalone(ref, CFG, cache=private)
+
+        def no_replay(*args, **kwargs):
+            raise AssertionError("a memoised baseline was replayed")
+
+        monkeypatch.setattr(SharedCache, "access_many", no_replay)
+        assert standalone(ref, CFG, cache=private) == first
         assert len(private) == 8
+
+    @pytest.mark.parametrize("standalone,ref", FAMILIES)
+    def test_identity_keys_the_memo(self, standalone, ref):
+        """Distinct workloads must not share solo baselines."""
+        private = StandaloneIPCCache()
+        first = standalone(ref, CFG, cache=private)
+        size = len(private)
+        other, config = _other_identity(ref)
+        assert standalone(other, config, cache=private) != first
+        assert len(private) == size + 2 * other.num_cores
+
+    def test_families_never_collide(self):
+        """A tenant and a shared source on one machine keep apart in one memo."""
+        private = StandaloneIPCCache()
+        tenant = tenant_standalone("tenants:smoke4", CFG, cache=private)
+        shared = shared_standalone("shared:smoke4", CFG, cache=private)
+        assert len(private) == 16
+        assert len({key[0] for key in private.keys()}) == 8
+        assert tenant_standalone("tenants:smoke4", CFG, cache=private) == tenant
+        assert shared_standalone("shared:smoke4", CFG, cache=private) == shared
 
     def test_solo_hit_rates_feed_slo_targets(self):
         private = StandaloneIPCCache()
@@ -112,14 +175,3 @@ class TestStandaloneBaselines:
         assert result.tenant_slo.solo_hit_rates == rates
         for target, solo in zip(result.tenant_slo.slo_targets, rates):
             assert target == pytest.approx(result.tenant_slo.slo_fraction * solo)
-
-    def test_identity_keys_the_memo(self):
-        """Distinct workloads must not share solo baselines."""
-        private = StandaloneIPCCache()
-        tenant_standalone("tenants:smoke4", CFG, cache=private)
-        size = len(private)
-        tenant_standalone(
-            get_tenant_workload("web8"), machine(8, instructions=20_000),
-            cache=private,
-        )
-        assert len(private) == size + 16
