@@ -293,7 +293,7 @@ def belady_workload_run(
         if belady.access(i, cid, trace.addrs[i]):
             core.advance(gap, True)
         else:
-            issue_time = core.cycles + gap * core.profile.cpi_base
+            issue_time = core.cycles + gap * core.cpi_base
             core.advance(gap, False, memory.miss_latency(trace.addrs[i], issue_time))
         check_finish(cid, core)
 

@@ -34,6 +34,9 @@ class CoreTimingModel:
             raise ValueError(f"llc_hit_latency must be >= 0, got {llc_hit_latency}")
         self.core_id = core_id
         self.profile = profile
+        # Read on every access: cached off the profile.
+        self.cpi_base = profile.cpi_base
+        self.mlp = profile.mlp
         self.llc_hit_latency = llc_hit_latency
         self.cycles = 0.0
         self.instructions = 0
@@ -52,12 +55,12 @@ class CoreTimingModel:
             mem_latency: DRAM latency for a miss (ignored on hits).
         """
         self.instructions += gap_instructions
-        self.cycles += gap_instructions * self.profile.cpi_base
+        self.cycles += gap_instructions * self.cpi_base
         self.accesses += 1
         if hit:
             self.cycles += self.llc_hit_latency
         else:
-            exposed = self.llc_hit_latency + mem_latency / self.profile.mlp
+            exposed = self.llc_hit_latency + mem_latency / self.mlp
             self.cycles += exposed
             self.llc_stall_cycles += exposed - self.llc_hit_latency
 
@@ -65,7 +68,7 @@ class CoreTimingModel:
         """Execute ``gap_instructions`` then an access absorbed locally
         (an L1 hit): no LLC involvement, fixed ``latency`` cycles."""
         self.instructions += gap_instructions
-        self.cycles += gap_instructions * self.profile.cpi_base + latency
+        self.cycles += gap_instructions * self.cpi_base + latency
 
     def mark_finished(self) -> None:
         """Freeze the reported counters (the core keeps running for contention)."""

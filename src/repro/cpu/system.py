@@ -17,6 +17,7 @@ frozen at the finish line — "statistics are reported only for the first
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, List, Optional, Sequence
@@ -167,6 +168,8 @@ class MultiCoreSystem:
             raise ValueError(
                 f"cache has {real_cores} cores but {len(profiles)} profiles given"
             )
+        if l1_hit_latency < 0:
+            raise ValueError(f"l1_hit_latency must be >= 0, got {l1_hit_latency}")
         self.cache = cache
         self.num_cores = real_cores
         self.profiles = list(profiles)
@@ -187,12 +190,9 @@ class MultiCoreSystem:
             self.l1s = None
         self.l1_hit_latency = l1_hit_latency
         self.inclusive = inclusive and self.l1s is not None
-        if record_trace:
-            self.recorded_trace = RecordedTrace(num_cores=real_cores)
-            self._pending_l1_gap = [0] * real_cores
-            self._pending_l1_lat = [0.0] * real_cores
-        else:
-            self.recorded_trace = None
+        self.recorded_trace = RecordedTrace(num_cores=real_cores) if record_trace else None
+        self._pending_l1_gap = [0] * real_cores
+        self._pending_l1_lat = [0.0] * real_cores
         self._snap_cycles = [0.0] * real_cores
         self._snap_instructions = [0] * real_cores
         self._snap_stall = [0.0] * real_cores
@@ -246,7 +246,7 @@ class MultiCoreSystem:
         Args:
             instructions_per_core: the per-program instruction target.
             max_accesses: safety valve; raises if the target is not reached
-                within this many total accesses (default: no limit).
+                within this many total LLC accesses (default: no limit).
 
         Returns:
             A :class:`SystemResult` with per-core reported figures.
@@ -255,28 +255,67 @@ class MultiCoreSystem:
             raise ValueError(
                 f"instructions_per_core must be >= 1, got {instructions_per_core}"
             )
+        if max_accesses is not None and max_accesses < 1:
+            raise ValueError(f"max_accesses must be >= 1, got {max_accesses}")
         cache = self.cache
-        memory = self.memory
         recorder = self.telemetry
-        trace = self.recorded_trace
         run_start = perf_counter()
         start_accesses = self.total_accesses
         occupancy_at_finish = [0.0] * self.num_cores
-        unfinished = sum(1 for c in self.cores if not c.finished)
-        heap = [(core.cycles, core.core_id) for core in self.cores if not core.finished]
+        cores = self.cores
+        unfinished = sum(1 for c in cores if not c.finished)
+        heap = [(core.cycles, core.core_id) for core in cores if not core.finished]
         heapq.heapify(heap)
 
-        while unfinished > 0:
-            now, cid = heapq.heappop(heap)
-            core = self.cores[cid]
-            gap, addr = self.streams[cid].next_access()
-            addr += cid * _CORE_ADDRESS_STRIDE
-            if self.l1s is not None and self.l1s[cid].access(addr):
-                core.advance_local(gap, self.l1_hit_latency)
-                if trace is not None:
-                    self._pending_l1_gap[cid] += gap
-                    self._pending_l1_lat[cid] += self.l1_hit_latency
-                if not core.finished and core.instructions >= instructions_per_core:
+        # The event loop runs once per access: everything it calls or reads
+        # that does not change during the run is bound to a local here.
+        next_accesses = [stream.next_access for stream in self.streams]
+        offsets = [cid * _CORE_ADDRESS_STRIDE for cid in range(self.num_cores)]
+        cpi_bases = [core.cpi_base for core in cores]
+        cache_access = cache.access
+        miss_latency = self.memory.miss_latency
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        l1s = self.l1s
+        l1_hit_latency = self.l1_hit_latency
+        inclusive = self.inclusive
+        trace = self.recorded_trace
+        pending_gap = self._pending_l1_gap
+        pending_lat = self._pending_l1_lat
+        limit = max_accesses if max_accesses is not None else math.inf
+        accesses = self.total_accesses
+
+        try:
+            while unfinished:
+                now, cid = heappop(heap)
+                core = cores[cid]
+                gap, addr = next_accesses[cid]()
+                addr += offsets[cid]
+                if l1s is not None and l1s[cid].access(addr):
+                    core.advance_local(gap, l1_hit_latency)
+                    if trace is not None:
+                        pending_gap[cid] += gap
+                        pending_lat[cid] += l1_hit_latency
+                else:
+                    if trace is not None:
+                        trace.cores.append(cid)
+                        trace.addrs.append(addr)
+                        trace.gaps.append(gap)
+                        trace.l1_gaps.append(pending_gap[cid])
+                        trace.l1_lats.append(pending_lat[cid])
+                        pending_gap[cid] = 0
+                        pending_lat[cid] = 0.0
+                    hit, _, evicted_core, evicted_addr = cache_access(cid, addr)
+                    accesses += 1
+                    if inclusive and evicted_core >= 0:
+                        l1s[evicted_core].invalidate(evicted_addr)
+                    if hit:
+                        core.advance(gap, True)
+                    else:
+                        core.advance(
+                            gap, False, miss_latency(addr, now + gap * cpi_bases[cid])
+                        )
+                if core.instructions >= instructions_per_core and not core.finished:
                     core.mark_finished()
                     occupancy_at_finish[cid] = (
                         cache.occupancy[cache.group_of(cid)]
@@ -290,48 +329,15 @@ class MultiCoreSystem:
                             occupancy_at_finish[cid],
                         )
                     unfinished -= 1
-                    if unfinished == 0:
+                    if not unfinished:
                         break
-                heapq.heappush(heap, (core.cycles, cid))
-                continue
-            if trace is not None:
-                trace.cores.append(cid)
-                trace.addrs.append(addr)
-                trace.gaps.append(gap)
-                trace.l1_gaps.append(self._pending_l1_gap[cid])
-                trace.l1_lats.append(self._pending_l1_lat[cid])
-                self._pending_l1_gap[cid] = 0
-                self._pending_l1_lat[cid] = 0.0
-            result = cache.access(cid, addr)
-            self.total_accesses += 1
-            if self.inclusive and result.evicted_core >= 0:
-                self.l1s[result.evicted_core].invalidate(result.evicted_addr)
-            if result.hit:
-                core.advance(gap, True)
-            else:
-                issue_time = now + gap * core.profile.cpi_base
-                core.advance(gap, False, memory.miss_latency(addr, issue_time))
-            if not core.finished and core.instructions >= instructions_per_core:
-                core.mark_finished()
-                occupancy_at_finish[cid] = (
-                    cache.occupancy[cache.group_of(cid)]
-                    / cache.geometry.num_blocks
-                )
-                if recorder is not None:
-                    recorder.record_finish(
-                        cid,
-                        core.finish_instructions,
-                        core.finish_cycles,
-                        occupancy_at_finish[cid],
+                heappush(heap, (core.cycles, cid))
+                if accesses > limit:
+                    raise RuntimeError(
+                        f"exceeded {max_accesses} accesses with {unfinished} cores unfinished"
                     )
-                unfinished -= 1
-                if unfinished == 0:
-                    break
-            heapq.heappush(heap, (core.cycles, cid))
-            if max_accesses is not None and self.total_accesses > max_accesses:
-                raise RuntimeError(
-                    f"exceeded {max_accesses} accesses with {unfinished} cores unfinished"
-                )
+        finally:
+            self.total_accesses = accesses
 
         if recorder is not None:
             recorder.finalize(

@@ -17,6 +17,7 @@ references and how much latency it can hide):
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
@@ -78,7 +79,17 @@ class AccessStream:
     Gaps are drawn uniformly in ``[0.5, 1.5] * mean_gap`` (at least one
     instruction), so instruction counts accumulate with mild jitter around
     the profile's memory intensity.
+
+    Gaps and addresses come from two independent generators and neither
+    depends on what the cache does with them, so both are drawn
+    :data:`CHUNK` at a time into reversed ``array('q')`` buffers that
+    :meth:`next_access` pops from. The pairs are the ones drawing one at a
+    time would give (``randint(lo, hi)`` per gap, inlined as CPython's
+    ``lo + _randbelow(hi - lo + 1)``).
     """
+
+    #: Accesses drawn per refill.
+    CHUNK = 1024
 
     def __init__(self, profile: BenchmarkProfile, seed: int = 0, scale: float = 1.0) -> None:
         self.profile = profile
@@ -86,15 +97,38 @@ class AccessStream:
         self._rng = make_rng(seed, "gaps", profile.name)
         self._gap_lo = max(1, int(profile.mean_gap * 0.5))
         self._gap_hi = max(self._gap_lo, int(profile.mean_gap * 1.5))
-        self.generated = 0
+        self._gaps = array("q")
+        self._addrs = array("q")
+        self._drawn = 0
+
+    @property
+    def generated(self) -> int:
+        """Accesses handed out so far."""
+        return self._drawn - len(self._gaps)
 
     def next_access(self) -> Tuple[int, int]:
         """The next (gap, address) pair."""
-        self.generated += 1
-        return (
-            self._rng.randint(self._gap_lo, self._gap_hi),
-            self.zone_model.next_address(),
-        )
+        gaps = self._gaps
+        if not gaps:
+            self._refill()
+        return gaps.pop(), self._addrs.pop()
+
+    def _refill(self) -> None:
+        count = self.CHUNK
+        lo = self._gap_lo
+        width = self._gap_hi - lo + 1
+        k = width.bit_length()
+        getrandbits = self._rng.getrandbits
+        gaps = []
+        append = gaps.append
+        for _ in range(count):
+            r = getrandbits(k)
+            while r >= width:
+                r = getrandbits(k)
+            append(lo + r)
+        self._gaps.extend(reversed(gaps))
+        self._addrs.extend(reversed(self.zone_model.addresses(count)))
+        self._drawn += count
 
     def __iter__(self):
         while True:

@@ -94,28 +94,54 @@ class ZoneModel:
             base += size
         self.footprint = base
         self._scan_pos = [0] * len(zones)
+        # getrandbits width of a uniform zone's offset draw; 0 marks a scan.
+        self._bits = [
+            0 if isinstance(zone, ScanZone) else size.bit_length()
+            for zone, size in zip(zones, self._sizes)
+        ]
         self._rng = make_rng(seed, "zones")
 
-    def next_address(self) -> int:
-        """Generate the next block address."""
-        r = self._rng.random()
-        index = 0
-        while self._cumweights[index] < r:
-            index += 1
-        zone = self.zones[index]
-        size = self._sizes[index]
-        if isinstance(zone, ScanZone):
-            offset = self._scan_pos[index]
-            self._scan_pos[index] = (offset + 1) % size
-        else:
-            offset = self._rng.randrange(size)
-        return self._bases[index] + offset
-
     def addresses(self, count: int) -> List[int]:
-        """Generate ``count`` addresses (convenience for tests/traces)."""
+        """Generate the next ``count`` block addresses.
+
+        This is the only address sampler; scan positions carry over
+        between calls, so ``addresses(a) + addresses(b)`` equals
+        ``addresses(a + b)`` from the same starting state. Each address
+        draws ``rng.random()`` to pick its zone, then, in a uniform zone,
+        the offset exactly as CPython's ``randrange(size)`` does
+        (``_randbelow_with_getrandbits``: ``k = size.bit_length()``, draw
+        ``getrandbits(k)`` until it is below ``size``), inlined here
+        because the call chain costs more than the draw.
+        ``tests/workloads/test_zones.py`` pins this against the public
+        ``random.Random`` API.
+        """
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        return [self.next_address() for _ in range(count)]
+        random = self._rng.random
+        getrandbits = self._rng.getrandbits
+        cumweights = self._cumweights
+        bases = self._bases
+        sizes = self._sizes
+        bits = self._bits
+        scan_pos = self._scan_pos
+        out = []
+        append = out.append
+        for _ in range(count):
+            r = random()
+            index = 0
+            while cumweights[index] < r:
+                index += 1
+            size = sizes[index]
+            k = bits[index]
+            if k:
+                offset = getrandbits(k)
+                while offset >= size:
+                    offset = getrandbits(k)
+            else:
+                offset = scan_pos[index]
+                scan_pos[index] = (offset + 1) % size
+            append(bases[index] + offset)
+        return out
 
     def zone_ranges(self) -> List[Tuple[int, int]]:
         """Per-zone (base, size) address ranges, for inspection."""

@@ -40,6 +40,23 @@ class TestRun:
         system = MultiCoreSystem(cache, [friendly_profile])
         with pytest.raises(RuntimeError, match="exceeded"):
             system.run(10_000_000, max_accesses=100)
+        # The loop's access counter is written back even when it exits by
+        # an exception.
+        assert system.total_accesses == 101
+
+    @pytest.mark.parametrize("max_accesses", [0, -5])
+    def test_rejects_non_positive_max_accesses(self, geometry, friendly_profile,
+                                               max_accesses):
+        cache = SharedCache(geometry, 1)
+        system = MultiCoreSystem(cache, [friendly_profile])
+        with pytest.raises(ValueError, match="max_accesses"):
+            system.run(1000, max_accesses=max_accesses)
+        assert system.total_accesses == 0
+
+    def test_rejects_negative_l1_hit_latency(self, geometry, friendly_profile):
+        cache = SharedCache(geometry, 1)
+        with pytest.raises(ValueError, match="l1_hit_latency"):
+            MultiCoreSystem(cache, [friendly_profile], l1_hit_latency=-1.0)
 
     def test_deterministic_under_seed(self, geometry, friendly_profile,
                                       streaming_profile):

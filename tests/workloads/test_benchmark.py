@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.util.rng import derive_seed, make_rng
 from repro.workloads.benchmark import AccessStream, BenchmarkProfile
+from repro.workloads.phased import PhasedProfile
+from repro.workloads.spec import PROFILES, get_profile
 from repro.workloads.zones import ScanZone, UniformZone
+
+from tests.workloads.test_zones import reference_addresses
 
 
 def profile(**overrides):
@@ -92,3 +97,54 @@ class TestAccessStream:
     def test_scale_passed_to_zone_model(self):
         stream = AccessStream(profile(), seed=5, scale=0.5)
         assert stream.zone_model.footprint == 150
+
+
+def reference_stream(p, seed=0, scale=1.0):
+    """``p``'s (gap, address) pairs drawn one at a time through the public
+    :class:`random.Random` API: ``randint`` per gap, then the reference
+    zone draw. The chunked :class:`AccessStream` must match it exactly."""
+    rng = make_rng(seed, "gaps", p.name)
+    lo = max(1, int(p.mean_gap * 0.5))
+    hi = max(lo, int(p.mean_gap * 1.5))
+    addresses = reference_addresses(p.zones, seed=seed, scale=scale)
+    while True:
+        yield rng.randint(lo, hi), next(addresses)
+
+
+class TestChunkedStream:
+    #: More than three refills.
+    COUNT = 3 * AccessStream.CHUNK + 517
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_catalog_matches_reference(self, name, seed):
+        p = PROFILES[name]
+        stream = p.stream(seed=seed, scale=0.5)
+        reference = reference_stream(p, seed=seed, scale=0.5)
+        for _ in range(self.COUNT):
+            assert stream.next_access() == next(reference)
+
+    def test_phased_matches_reference(self):
+        profile = PhasedProfile(
+            [(get_profile("179.art"), 4_000), (get_profile("470.lbm"), 3_000)]
+        )
+        stream = profile.stream(seed=5)
+        references = [
+            reference_stream(p, seed=derive_seed(5, "phase", i, p.name))
+            for i, (p, _) in enumerate(profile.phases)
+        ]
+        phase, in_phase = 0, 0
+        for _ in range(self.COUNT):
+            gap, addr = next(references[phase])
+            assert stream.next_access() == (gap, addr + phase * stream.PHASE_STRIDE)
+            in_phase += gap
+            if in_phase >= profile.phases[phase][1]:
+                phase, in_phase = (phase + 1) % 2, 0
+        assert stream.phase_switches > 6
+
+    @pytest.mark.parametrize("count", [0, 1, 5, AccessStream.CHUNK, AccessStream.CHUNK + 3])
+    def test_generated_counts_handed_out(self, count):
+        stream = profile().stream(seed=6)
+        for _ in range(count):
+            stream.next_access()
+        assert stream.generated == count

@@ -3,7 +3,38 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.util.rng import make_rng
 from repro.workloads.zones import ScanZone, UniformZone, ZoneModel
+
+
+def reference_addresses(zones, seed=0, scale=1.0):
+    """The zone model's addresses drawn one at a time through the public
+    :class:`random.Random` API (``random`` picks the zone, ``randrange``
+    the offset of a uniform zone). :meth:`ZoneModel.addresses` inlines
+    CPython's ``randrange``; this is the contract it must keep.
+    """
+    rng = make_rng(seed, "zones")
+    total = sum(z.weight for z in zones)
+    cumweights = []
+    acc = 0.0
+    for zone in zones:
+        acc += zone.weight / total
+        cumweights.append(acc)
+    cumweights[-1] = 1.0
+    ranges = ZoneModel(zones, seed=seed, scale=scale).zone_ranges()
+    scan_pos = [0] * len(zones)
+    while True:
+        r = rng.random()
+        index = 0
+        while cumweights[index] < r:
+            index += 1
+        base, size = ranges[index]
+        if isinstance(zones[index], ScanZone):
+            offset = scan_pos[index]
+            scan_pos[index] = (offset + 1) % size
+        else:
+            offset = rng.randrange(size)
+        yield base + offset
 
 
 class TestZoneValidation:
@@ -53,6 +84,35 @@ class TestAddressing:
         model = ZoneModel([UniformZone(1.0, 8)], seed=4)
         with pytest.raises(ValueError):
             model.addresses(-1)
+
+
+class TestRandomContract:
+    MIXES = [
+        [UniformZone(1.0, 1)],
+        [UniformZone(1.0, 64)],
+        [UniformZone(0.6, 100), ScanZone(0.4, 37)],
+        [ScanZone(0.2, 5), UniformZone(0.3, 1000), UniformZone(0.5, 129)],
+    ]
+
+    @pytest.mark.parametrize("mix", range(len(MIXES)))
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_matches_public_random_api(self, mix, seed):
+        zones = self.MIXES[mix]
+        reference = reference_addresses(zones, seed=seed, scale=1.5)
+        expected = [next(reference) for _ in range(3000)]
+        assert ZoneModel(zones, seed=seed, scale=1.5).addresses(3000) == expected
+
+    @settings(max_examples=25)
+    @given(st.integers(0, 2**31), st.integers(0, 300), st.integers(0, 300))
+    def test_calls_concatenate(self, seed, a, b):
+        zones = [UniformZone(0.5, 90), ScanZone(0.5, 7)]
+        split = ZoneModel(zones, seed=seed)
+        whole = ZoneModel(zones, seed=seed)
+        assert split.addresses(a) + split.addresses(b) == whole.addresses(a + b)
+
+    def test_scan_position_carries_across_calls(self):
+        model = ZoneModel([ScanZone(1.0, 5)], seed=3)
+        assert model.addresses(3) + model.addresses(4) == [0, 1, 2, 3, 4, 0, 1]
 
 
 class TestScaling:
