@@ -125,7 +125,7 @@ def _herd_prefill(ids, budget, store, workers, progress) -> None:
     import json
 
     from repro.campaign import Campaign
-    from repro.campaign.campaign import machine_to_dict
+    from repro.campaign.store import machine_to_dict
     from repro.experiments.configs import machine
     from repro.experiments.parallel import RunSpec
     from repro.herd import HerdController, LocalTransport

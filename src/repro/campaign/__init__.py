@@ -23,7 +23,7 @@ guarantees, and resume semantics.
 """
 
 from repro.campaign.campaign import Campaign, CampaignStatus
-from repro.campaign.executor import SpecError, SpecOutcome, iter_isolated, run_isolated
+from repro.campaign.executor import SpecError, SpecOutcome, iter_isolated
 from repro.campaign.fingerprint import (
     FINGERPRINT_VERSION,
     canonical_payload,
@@ -52,7 +52,6 @@ __all__ = [
     "SpecError",
     "SpecOutcome",
     "iter_isolated",
-    "run_isolated",
     "spec_fingerprint",
     "canonical_payload",
     "FINGERPRINT_VERSION",

@@ -34,11 +34,18 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.cache.geometry import CacheGeometry
-from repro.campaign.runner import CampaignRun, CampaignRunner, Progress, cache_hit
+from repro.campaign.runner import (
+    CampaignRun,
+    CampaignRunner,
+    Progress,
+    cache_hit,
+    partition_specs,
+)
 from repro.campaign.store import (
     FailedRun,
     ResultStore,
+    machine_from_dict,
+    machine_to_dict,
     result_to_dict,
     spec_from_dict,
     spec_to_dict,
@@ -53,56 +60,6 @@ MANIFEST_NAME = "campaign.json"
 
 #: campaign.json schema version.
 MANIFEST_FORMAT = 1
-
-
-def _geometry_to_dict(geometry) -> Optional[dict]:
-    if geometry is None:
-        return None
-    return {
-        "size_bytes": geometry.size_bytes,
-        "block_bytes": geometry.block_bytes,
-        "assoc": geometry.assoc,
-    }
-
-
-def _geometry_from_dict(data: Optional[dict]) -> Optional[CacheGeometry]:
-    if data is None:
-        return None
-    return CacheGeometry(
-        size_bytes=data["size_bytes"],
-        block_bytes=data["block_bytes"],
-        assoc=data["assoc"],
-    )
-
-
-def machine_to_dict(config: MachineConfig) -> dict:
-    return {
-        "num_cores": config.num_cores,
-        "geometry": _geometry_to_dict(config.geometry),
-        "num_controllers": config.num_controllers,
-        "instructions": config.instructions,
-        "workload_scale": config.workload_scale,
-        "l1_geometry": _geometry_to_dict(config.l1_geometry),
-        "l1_inclusive": config.l1_inclusive,
-        "dram_banks": config.dram_banks,
-        "dram_row_blocks": config.dram_row_blocks,
-    }
-
-
-def machine_from_dict(data: dict) -> MachineConfig:
-    # Hierarchy fields use .get defaults so manifests written before the
-    # multi-level machine still load.
-    return MachineConfig(
-        num_cores=data["num_cores"],
-        geometry=_geometry_from_dict(data["geometry"]),
-        num_controllers=data["num_controllers"],
-        instructions=data["instructions"],
-        workload_scale=data["workload_scale"],
-        l1_geometry=_geometry_from_dict(data.get("l1_geometry")),
-        l1_inclusive=data.get("l1_inclusive", False),
-        dram_banks=data.get("dram_banks", 1),
-        dram_row_blocks=data.get("dram_row_blocks", 0),
-    )
 
 
 @dataclass(frozen=True)
@@ -279,29 +236,17 @@ class Campaign:
 
     def status(self) -> CampaignStatus:
         """Progress over the campaign's unique fingerprints."""
-        completed = failed = 0
-        seen = set()
-        created_ats = []
-        for spec, fp in zip(self.specs, self.fingerprints()):
-            if fp in seen:
-                continue
-            seen.add(fp)
-            if cache_hit(self.store, fp, spec) is not None:
-                completed += 1
-                stored = self.store.record_for(fp)
-                if stored is not None:
-                    created_ats.append(stored.meta.created_at)
-            elif self.store.failure_for(fp) is not None:
-                failed += 1
-        total = len(seen)
-        pending = total - completed - failed
+        _, cached, pending = partition_specs(self.store, self.specs, self.config)
+        failed = sum(1 for fp in pending if self.store.failure_for(fp) is not None)
+        created_ats = [self.store.record_for(fp).meta.created_at for fp in cached]
         rate = completion_rate(created_ats)
-        eta = pending / (rate / 60.0) if rate and pending else None
+        remaining = len(pending) - failed
+        eta = remaining / (rate / 60.0) if rate and remaining else None
         return CampaignStatus(
-            total=total,
-            completed=completed,
+            total=len(cached) + len(pending),
+            completed=len(cached),
             failed=failed,
-            pending=pending,
+            pending=remaining,
             specs_per_min=rate,
             eta_seconds=eta,
         )

@@ -34,9 +34,9 @@ from typing import Iterator, List, Optional, Sequence
 
 from repro.experiments.configs import MachineConfig
 from repro.experiments.parallel import RunSpec, _pool_context, resolve_jobs
-from repro.experiments.runner import WorkloadResult, run_workload
+from repro.experiments.runner import WorkloadResult
 
-__all__ = ["SpecError", "SpecOutcome", "iter_isolated", "run_isolated"]
+__all__ = ["SpecError", "SpecOutcome", "iter_isolated", "run_in_process"]
 
 #: Error types that identify a *deterministic* failure: the run would fail
 #: identically in a fresh process, so retrying only burns attempts. An
@@ -71,16 +71,47 @@ class SpecOutcome:
         return self.result is not None
 
 
-def _run_one(spec: RunSpec, config: MachineConfig) -> WorkloadResult:
-    return run_workload(
-        spec.mix,
-        config,
-        spec.scheme,
-        seed=spec.seed,
-        instructions=spec.instructions,
-        scheme_kwargs=spec.scheme_kwargs,
-        telemetry=spec.telemetry,
-        check=spec.check,
+def run_in_process(
+    spec: RunSpec, config: MachineConfig, retries: int = 0, index: int = 0
+) -> SpecOutcome:
+    """Run ``spec`` here, retrying up to ``retries`` times; never raises.
+
+    The one in-process attempt loop: an exception becomes the outcome's
+    :class:`SpecError`, and a :data:`NON_RETRYABLE_ERRORS` type stops
+    the retries early. The serial campaign path and the herd worker both
+    run specs through it.
+    """
+    error: Optional[SpecError] = None
+    elapsed = 0.0
+    for attempt in range(1, retries + 2):
+        start = time.perf_counter()
+        try:
+            result = spec.run(config)
+        except Exception as exc:
+            elapsed = time.perf_counter() - start
+            error = SpecError(
+                error_type=type(exc).__name__,
+                message=str(exc),
+                traceback=traceback.format_exc(),
+            )
+            if error.error_type in NON_RETRYABLE_ERRORS:
+                break  # deterministic failure: retrying cannot help
+            continue
+        return SpecOutcome(
+            index=index,
+            spec=spec,
+            result=result,
+            error=None,
+            attempts=attempt,
+            wall_seconds=time.perf_counter() - start,
+        )
+    return SpecOutcome(
+        index=index,
+        spec=spec,
+        result=None,
+        error=error,
+        attempts=attempt,
+        wall_seconds=elapsed,
     )
 
 
@@ -88,7 +119,7 @@ def _child_main(conn, spec: RunSpec, config: MachineConfig) -> None:
     """Child-process entry: run the spec, ship the outcome over the pipe."""
     start = time.perf_counter()
     try:
-        result = _run_one(spec, config)
+        result = spec.run(config)
         conn.send(("ok", result, time.perf_counter() - start))
     except BaseException as exc:  # everything, incl. KeyError/SystemExit
         conn.send(
@@ -143,7 +174,8 @@ def iter_isolated(
     if not specs:
         return
     if jobs <= 1 and timeout is None:
-        yield from _iter_in_process(specs, config, retries)
+        for index, spec in enumerate(specs):
+            yield run_in_process(spec, config, retries, index=index)
         return
 
     from multiprocessing.connection import wait as conn_wait
@@ -252,63 +284,3 @@ def iter_isolated(
             attempt.conn.close()
         for attempt in running:
             attempt.process.join()
-
-
-def _iter_in_process(
-    specs: Sequence[RunSpec], config: MachineConfig, retries: int
-) -> Iterator[SpecOutcome]:
-    """Serial fallback: same outcomes, exceptions caught per attempt."""
-    for index, spec in enumerate(specs):
-        error: Optional[SpecError] = None
-        elapsed = 0.0
-        attempts = 0
-        outcome: Optional[SpecOutcome] = None
-        for attempt in range(1, retries + 2):
-            attempts = attempt
-            start = time.perf_counter()
-            try:
-                result = _run_one(spec, config)
-            except Exception as exc:
-                elapsed = time.perf_counter() - start
-                error = SpecError(
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                    traceback=traceback.format_exc(),
-                )
-                if error.error_type in NON_RETRYABLE_ERRORS:
-                    break  # deterministic failure: retrying cannot help
-                continue
-            outcome = SpecOutcome(
-                index=index,
-                spec=spec,
-                result=result,
-                error=None,
-                attempts=attempt,
-                wall_seconds=time.perf_counter() - start,
-            )
-            break
-        if outcome is None:
-            outcome = SpecOutcome(
-                index=index,
-                spec=spec,
-                result=None,
-                error=error,
-                attempts=attempts,
-                wall_seconds=elapsed,
-            )
-        yield outcome
-
-
-def run_isolated(
-    specs: Sequence[RunSpec],
-    config: MachineConfig,
-    jobs: Optional[int] = None,
-    retries: int = 0,
-    timeout: Optional[float] = None,
-) -> List[SpecOutcome]:
-    """Like :func:`iter_isolated` but collected, ordered by spec index."""
-    outcomes = sorted(
-        iter_isolated(specs, config, jobs=jobs, retries=retries, timeout=timeout),
-        key=lambda o: o.index,
-    )
-    return outcomes

@@ -35,6 +35,7 @@ import hashlib
 import json
 from typing import Union
 
+from repro.campaign.store import machine_to_dict
 from repro.experiments.configs import MachineConfig
 from repro.experiments.parallel import RunSpec
 from repro.workloads.registry import WorkloadSource, resolve_workload
@@ -84,27 +85,12 @@ def canonical_payload(spec: RunSpec, config: MachineConfig) -> dict:
         "instructions": (
             spec.instructions if spec.instructions is not None else config.instructions
         ),
-        "clusters": getattr(spec, "clusters", None),
+        "clusters": spec.clusters,
         "machine": {
-            "num_cores": config.num_cores,
-            "geometry": _geometry_payload(config.geometry),
-            "num_controllers": config.num_controllers,
-            "workload_scale": config.workload_scale,
-            "l1_geometry": _geometry_payload(config.l1_geometry),
-            "l1_inclusive": config.l1_inclusive,
-            "dram_banks": config.dram_banks,
-            "dram_row_blocks": config.dram_row_blocks,
+            key: value
+            for key, value in machine_to_dict(config).items()
+            if key != "instructions"  # folded into the effective budget
         },
-    }
-
-
-def _geometry_payload(geometry) -> Union[dict, None]:
-    if geometry is None:
-        return None
-    return {
-        "size_bytes": geometry.size_bytes,
-        "block_bytes": geometry.block_bytes,
-        "assoc": geometry.assoc,
     }
 
 

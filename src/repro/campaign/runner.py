@@ -17,16 +17,16 @@ contract and is what the figure experiments ride on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.campaign import fingerprint
 from repro.campaign.executor import iter_isolated
-from repro.campaign.fingerprint import spec_fingerprint
 from repro.campaign.store import FailedRun, ResultStore
 from repro.experiments.configs import MachineConfig
-from repro.experiments.parallel import RunSpec, resolve_jobs
+from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import WorkloadResult
 
-__all__ = ["CampaignRun", "CampaignRunner", "cache_hit"]
+__all__ = ["CampaignRun", "CampaignRunner", "cache_hit", "partition_specs"]
 
 Progress = Optional[Callable[[str], None]]
 
@@ -44,6 +44,36 @@ def cache_hit(store: ResultStore, fingerprint: str, spec: RunSpec) -> Optional[W
     if spec.telemetry and result.telemetry is None:
         return None
     return result
+
+
+def partition_specs(
+    store: ResultStore, specs: Sequence[RunSpec], config: MachineConfig
+) -> Tuple[List[str], Dict[str, WorkloadResult], Dict[str, RunSpec]]:
+    """Fingerprint ``specs``, deduplicate them, and split cached from pending.
+
+    Returns ``(fingerprints, cached, pending)``: one fingerprint per spec,
+    in spec order; the stored result per cached fingerprint; and the spec
+    to execute per pending fingerprint, in first-appearance order. When
+    duplicates of one fingerprint differ only in ``telemetry``, the
+    telemetry request is the one served, so every duplicate gets a trace.
+    """
+    specs = list(specs)
+    # Both calls go through their module globals, where perfbench's
+    # tracer wraps them.
+    fingerprints = [fingerprint.spec_fingerprint(spec, config) for spec in specs]
+    unique: Dict[str, RunSpec] = {}
+    for spec, fp in zip(specs, fingerprints):
+        if fp not in unique or (spec.telemetry and not unique[fp].telemetry):
+            unique[fp] = spec
+    cached: Dict[str, WorkloadResult] = {}
+    pending: Dict[str, RunSpec] = {}
+    for fp, spec in unique.items():
+        hit = cache_hit(store, fp, spec)
+        if hit is None:
+            pending[fp] = spec
+        else:
+            cached[fp] = hit
+    return fingerprints, cached, pending
 
 
 @dataclass
@@ -102,7 +132,7 @@ class CampaignRunner:
         self.timeout = timeout
 
     def fingerprint(self, spec: RunSpec) -> str:
-        return spec_fingerprint(spec, self.config)
+        return fingerprint.spec_fingerprint(spec, self.config)
 
     def run(
         self,
@@ -123,75 +153,49 @@ class CampaignRunner:
             ``specs[i]`` and is ``None`` only if that spec failed (its
             :class:`FailedRun` is in ``failures`` and in the store).
         """
-        specs = list(specs)
-        fingerprints = [self.fingerprint(spec) for spec in specs]
-        cached: Dict[str, WorkloadResult] = {}
-        pending: Dict[str, RunSpec] = {}
-        for spec, fp in zip(specs, fingerprints):
-            if fp in cached or fp in pending:
-                continue
-            hit = cache_hit(self.store, fp, spec)
-            if hit is not None:
-                cached[fp] = hit
-            else:
-                pending[fp] = spec
-
-        pending_items = list(pending.items())
+        fingerprints, cached, pending = partition_specs(self.store, specs, self.config)
+        run_fps = list(pending)
         remaining = 0
-        if limit is not None and limit < len(pending_items):
-            remaining = len(pending_items) - limit
-            pending_items = pending_items[:limit]
+        if limit is not None and limit < len(run_fps):
+            remaining = len(run_fps) - limit
+            run_fps = run_fps[:limit]
 
         executed: Dict[str, WorkloadResult] = {}
         failures: Dict[str, FailedRun] = {}
-        if pending_items:
-            run_fps = [fp for fp, _ in pending_items]
-            run_specs_ = [spec for _, spec in pending_items]
-            done = 0
-            for outcome in iter_isolated(
-                run_specs_,
+        for done, outcome in enumerate(
+            iter_isolated(
+                [pending[fp] for fp in run_fps],
                 self.config,
                 jobs=self.jobs,
                 retries=self.retries,
                 timeout=self.timeout,
-            ):
-                fp = run_fps[outcome.index]
-                done += 1
-                if outcome.ok:
-                    self.store.add_result(
-                        fp, outcome.spec, outcome.result,
-                        wall_seconds=outcome.wall_seconds,
+            ),
+            start=1,
+        ):
+            fp = run_fps[outcome.index]
+            if outcome.ok:
+                self.store.add_result(
+                    fp, outcome.spec, outcome.result,
+                    wall_seconds=outcome.wall_seconds,
+                )
+                executed[fp] = outcome.result
+                if progress:
+                    progress(
+                        f"[{done}/{len(run_fps)}] {outcome.spec.describe()} "
+                        f"({outcome.wall_seconds:.1f}s)"
                     )
-                    executed[fp] = outcome.result
-                    if progress:
-                        progress(
-                            f"[{done}/{len(pending_items)}] {outcome.spec.describe()} "
-                            f"({outcome.wall_seconds:.1f}s)"
-                        )
-                else:
-                    failure = FailedRun(
-                        fingerprint=fp,
-                        spec=outcome.spec,
-                        error_type=outcome.error.error_type,
-                        message=outcome.error.message,
-                        traceback=outcome.error.traceback,
-                        attempts=outcome.attempts,
-                        timed_out=outcome.error.timed_out,
-                    )
-                    self.store.add_failure(failure)
-                    failures[fp] = failure
-                    if progress:
-                        progress(f"[{done}/{len(pending_items)}] FAILED {failure.describe()}")
+            else:
+                failure = FailedRun.from_outcome(fp, outcome)
+                self.store.add_failure(failure)
+                failures[fp] = failure
+                if progress:
+                    progress(f"[{done}/{len(run_fps)}] FAILED {failure.describe()}")
 
         merged = {**cached, **executed}
-        results = [merged.get(fp) for fp in fingerprints]
         return CampaignRun(
-            results=results,
+            results=[merged.get(fp) for fp in fingerprints],
             failures=list(failures.values()),
             executed=len(executed),
             skipped=len(cached),
             remaining=remaining,
         )
-
-    def resolve_jobs(self) -> int:
-        return resolve_jobs(self.jobs)

@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import socket
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
@@ -51,7 +51,9 @@ try:  # POSIX only; on other platforms appends fall back to unlocked writes
 except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None
 
+from repro.cache.geometry import CacheGeometry
 from repro.cpu.system import CoreResult
+from repro.experiments.configs import MachineConfig
 from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import WorkloadResult
 from repro.metrics.tenancy import TenantSLOReport
@@ -115,6 +117,20 @@ class FailedRun:
     attempts: int = 1
     timed_out: bool = False
 
+    @classmethod
+    def from_outcome(cls, fingerprint: str, outcome) -> "FailedRun":
+        """The failure of an executor ``SpecOutcome`` that has no result."""
+        error = outcome.error
+        return cls(
+            fingerprint=fingerprint,
+            spec=outcome.spec,
+            error_type=error.error_type,
+            message=error.message,
+            traceback=error.traceback,
+            attempts=outcome.attempts,
+            timed_out=error.timed_out,
+        )
+
     def describe(self) -> str:
         kind = "timed out" if self.timed_out else self.error_type
         return (
@@ -137,27 +153,59 @@ class StoredResult:
 
 
 def spec_to_dict(spec: RunSpec) -> dict:
-    return {
-        "mix": spec.mix if isinstance(spec.mix, str) else list(spec.mix),
-        "scheme": spec.scheme,
-        "seed": spec.seed,
-        "instructions": spec.instructions,
-        "scheme_kwargs": dict(spec.scheme_kwargs) if spec.scheme_kwargs else None,
-        "telemetry": spec.telemetry,
-        "check": spec.check,
-    }
+    """Every :class:`RunSpec` field as JSON (a mix sequence becomes a list)."""
+    data = {f.name: getattr(spec, f.name) for f in fields(RunSpec)}
+    if not isinstance(spec.mix, str):
+        data["mix"] = list(spec.mix)
+    if spec.scheme_kwargs is not None:
+        data["scheme_kwargs"] = dict(spec.scheme_kwargs)
+    return data
 
 
 def spec_from_dict(data: dict) -> RunSpec:
-    mix = data["mix"]
-    return RunSpec(
-        mix=mix if isinstance(mix, str) else tuple(mix),
-        scheme=data["scheme"],
-        seed=data["seed"],
+    """Inverse of :func:`spec_to_dict`; a field missing from a record
+    written before it existed takes its default."""
+    values = {f.name: data[f.name] for f in fields(RunSpec) if f.name in data}
+    if not isinstance(values["mix"], str):
+        values["mix"] = tuple(values["mix"])
+    return RunSpec(**values)
+
+
+def _geometry_to_dict(geometry: Optional[CacheGeometry]) -> Optional[dict]:
+    return asdict(geometry) if geometry is not None else None
+
+
+def _geometry_from_dict(data: Optional[dict]) -> Optional[CacheGeometry]:
+    return CacheGeometry(**data) if data is not None else None
+
+
+def machine_to_dict(config: MachineConfig) -> dict:
+    return {
+        "num_cores": config.num_cores,
+        "geometry": _geometry_to_dict(config.geometry),
+        "num_controllers": config.num_controllers,
+        "instructions": config.instructions,
+        "workload_scale": config.workload_scale,
+        "l1_geometry": _geometry_to_dict(config.l1_geometry),
+        "l1_inclusive": config.l1_inclusive,
+        "dram_banks": config.dram_banks,
+        "dram_row_blocks": config.dram_row_blocks,
+    }
+
+
+def machine_from_dict(data: dict) -> MachineConfig:
+    # Hierarchy fields use .get defaults so manifests written before the
+    # multi-level machine still load.
+    return MachineConfig(
+        num_cores=data["num_cores"],
+        geometry=_geometry_from_dict(data["geometry"]),
+        num_controllers=data["num_controllers"],
         instructions=data["instructions"],
-        scheme_kwargs=data["scheme_kwargs"],
-        telemetry=data.get("telemetry", False),
-        check=data.get("check", False),
+        workload_scale=data["workload_scale"],
+        l1_geometry=_geometry_from_dict(data.get("l1_geometry")),
+        l1_inclusive=data.get("l1_inclusive", False),
+        dram_banks=data.get("dram_banks", 1),
+        dram_row_blocks=data.get("dram_row_blocks", 0),
     )
 
 
@@ -239,6 +287,45 @@ def result_from_dict(data: dict) -> WorkloadResult:
             TenantSLOReport.from_dict(tenant_slo) if tenant_slo is not None else None
         ),
     )
+
+
+def result_record(
+    fingerprint: str, spec: RunSpec, result: WorkloadResult, meta: RunMeta
+) -> dict:
+    """The ``results.jsonl`` line of one completed run."""
+    return {
+        "record": "result",
+        "format": STORE_FORMAT,
+        "fingerprint": fingerprint,
+        "spec": spec_to_dict(spec),
+        "meta": {k: v for k, v in asdict(meta).items() if k != "fingerprint"},
+        "result": result_to_dict(result),
+    }
+
+
+def failure_record(failure: FailedRun) -> dict:
+    """The ``results.jsonl`` line of one spec that exhausted its attempts."""
+    return {
+        "record": "failure",
+        "format": STORE_FORMAT,
+        "fingerprint": failure.fingerprint,
+        "spec": spec_to_dict(failure.spec),
+        "failure": {
+            "error_type": failure.error_type,
+            "message": failure.message,
+            "traceback": failure.traceback,
+            "attempts": failure.attempts,
+            "timed_out": failure.timed_out,
+        },
+    }
+
+
+def outcome_record(fingerprint: str, outcome) -> dict:
+    """The record of an executor ``SpecOutcome``: a result or a failure."""
+    if outcome.ok:
+        meta = RunMeta.now(fingerprint, wall_seconds=outcome.wall_seconds)
+        return result_record(fingerprint, outcome.spec, outcome.result, meta)
+    return failure_record(FailedRun.from_outcome(fingerprint, outcome))
 
 
 # -- the store ---------------------------------------------------------------
@@ -363,21 +450,7 @@ class ResultStore:
     ) -> StoredResult:
         """Persist one completed run (and its telemetry trace, if any)."""
         meta = RunMeta.now(fingerprint, wall_seconds=wall_seconds)
-        self._append(
-            {
-                "record": "result",
-                "format": STORE_FORMAT,
-                "fingerprint": fingerprint,
-                "spec": spec_to_dict(spec),
-                "meta": {
-                    "wall_seconds": meta.wall_seconds,
-                    "host": meta.host,
-                    "repro_version": meta.repro_version,
-                    "created_at": meta.created_at,
-                },
-                "result": result_to_dict(result),
-            }
-        )
+        self._append(result_record(fingerprint, spec, result, meta))
         if result.telemetry is not None:
             self.traces_dir.mkdir(parents=True, exist_ok=True)
             result.telemetry.write(self.trace_path(fingerprint))
@@ -388,21 +461,7 @@ class ResultStore:
 
     def add_failure(self, failure: FailedRun) -> None:
         """Persist one exhausted-retries failure record."""
-        self._append(
-            {
-                "record": "failure",
-                "format": STORE_FORMAT,
-                "fingerprint": failure.fingerprint,
-                "spec": spec_to_dict(failure.spec),
-                "failure": {
-                    "error_type": failure.error_type,
-                    "message": failure.message,
-                    "traceback": failure.traceback,
-                    "attempts": failure.attempts,
-                    "timed_out": failure.timed_out,
-                },
-            }
-        )
+        self._append(failure_record(failure))
         self._failures[failure.fingerprint] = failure
 
     # -- queries ------------------------------------------------------------
@@ -483,21 +542,7 @@ class ResultStore:
                     raise StoreMergeError(
                         fp, f"{shard.root} disagrees with {self.root}"
                     )
-            self.append_raw(
-                {
-                    "record": "result",
-                    "format": STORE_FORMAT,
-                    "fingerprint": fp,
-                    "spec": spec_to_dict(stored.spec),
-                    "meta": {
-                        "wall_seconds": stored.meta.wall_seconds,
-                        "host": stored.meta.host,
-                        "repro_version": stored.meta.repro_version,
-                        "created_at": stored.meta.created_at,
-                    },
-                    "result": result_to_dict(stored.result),
-                }
-            )
+            self.append_raw(result_record(fp, stored.spec, stored.result, stored.meta))
             appended += 1
             shard_trace = shard.trace_path(fp)
             mine_trace = self.trace_path(fp)

@@ -22,8 +22,16 @@ from typing import Callable, Optional
 
 __all__ = ["RunOptions", "resolve_run_options", "experiment_run"]
 
-#: Same env vars the parallel executor reads (kept in sync by a test).
+#: Environment variable the parallel executor consults when ``jobs`` is
+#: ``None``.
 JOBS_ENV = "REPRO_JOBS"
+
+#: Environment variable the parallel executor consults when ``store`` is
+#: ``None``: a path to a :class:`repro.campaign.ResultStore` directory.
+#: When set, every ``run_specs`` grid (and therefore every figure
+#: experiment) skips specs whose fingerprint the store already holds and
+#: persists new results as they complete. Set by ``repro-sim --store`` and
+#: ``examples/reproduce_paper.py --store``.
 STORE_ENV = "REPRO_STORE"
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.experiments.configs import MachineConfig
+from repro.experiments.options import JOBS_ENV, STORE_ENV
 from repro.experiments.runner import WorkloadResult, run_workload
 
 __all__ = [
@@ -49,18 +50,6 @@ __all__ = [
     "run_specs",
     "parallel_compare_schemes",
 ]
-
-#: Environment variable consulted when ``jobs`` is ``None``.
-JOBS_ENV = "REPRO_JOBS"
-
-#: Environment variable consulted when ``store`` is ``None``: a path to a
-#: :class:`repro.campaign.ResultStore` directory. When set, every
-#: ``run_specs`` grid (and therefore every figure experiment) skips specs
-#: whose fingerprint the store already holds and persists new results as
-#: they complete. Set by ``repro-sim --store`` and
-#: ``examples/reproduce_paper.py --store``.
-STORE_ENV = "REPRO_STORE"
-
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -90,6 +79,25 @@ class RunSpec:
     #: ``None`` = per-core management. Part of the campaign fingerprint —
     #: clustering changes results.
     clusters: Optional[int] = None
+
+    def run(self, config: MachineConfig) -> WorkloadResult:
+        """Execute this spec on ``config``.
+
+        The one place a spec's fields become ``run_workload`` arguments:
+        ``run_specs`` (serial and pool), the campaign executor and the
+        herd worker all run a spec through here.
+        """
+        return run_workload(
+            self.mix,
+            config,
+            self.scheme,
+            seed=self.seed,
+            instructions=self.instructions,
+            scheme_kwargs=self.scheme_kwargs,
+            telemetry=self.telemetry,
+            check=self.check,
+            clusters=self.clusters,
+        )
 
     def describe(self) -> str:
         text = f"{self.mix} / {self.scheme} / seed {self.seed}"
@@ -161,16 +169,7 @@ def _run_indexed_spec(item):
     index, spec = item
     start = time.perf_counter()
     try:
-        result = run_workload(
-            spec.mix,
-            _worker_config,
-            spec.scheme,
-            seed=spec.seed,
-            instructions=spec.instructions,
-            scheme_kwargs=spec.scheme_kwargs,
-            telemetry=spec.telemetry,
-            clusters=spec.clusters,
-        )
+        result = spec.run(_worker_config)
     except Exception as exc:
         return index, None, (type(exc).__name__, str(exc), traceback.format_exc()), 0.0
     return index, result, None, time.perf_counter() - start
@@ -228,16 +227,7 @@ def _execute_specs(
                 progress(spec.describe())
             start = time.perf_counter()
             try:
-                result = run_workload(
-                    spec.mix,
-                    config,
-                    spec.scheme,
-                    seed=spec.seed,
-                    instructions=spec.instructions,
-                    scheme_kwargs=spec.scheme_kwargs,
-                    telemetry=spec.telemetry,
-                    clusters=spec.clusters,
-                )
+                result = spec.run(config)
             except Exception as exc:
                 raise SpecRunError(
                     spec, index, type(exc).__name__, str(exc)
@@ -287,17 +277,11 @@ def _run_specs_stored(
     Pure caching layer — failures still raise :class:`SpecRunError` (the
     fault-*tolerant* contract lives in :mod:`repro.campaign.runner`).
     """
-    from repro.campaign.fingerprint import spec_fingerprint
-    from repro.campaign.runner import cache_hit
+    from repro.campaign.runner import partition_specs
 
-    fingerprints = [spec_fingerprint(spec, config) for spec in specs]
-    cached = [cache_hit(store, fp, spec) for fp, spec in zip(fingerprints, specs)]
-    pending: Dict[str, int] = {}  # fingerprint -> first index (dedup)
-    for index, (fp, hit) in enumerate(zip(fingerprints, cached)):
-        if hit is None and fp not in pending:
-            pending[fp] = index
+    fingerprints, cached, pending = partition_specs(store, specs, config)
     pending_fps = list(pending)
-    pending_specs = [specs[i] for i in pending.values()]
+    pending_specs = list(pending.values())
     if progress and len(pending_specs) < len(specs):
         progress(
             f"store: {len(specs) - len(pending_specs)}/{len(specs)} cached "
@@ -313,11 +297,8 @@ def _run_specs_stored(
     executed = _execute_specs(
         pending_specs, config, jobs=jobs, progress=progress, on_result=persist
     )
-    by_fp = dict(zip(pending_fps, executed))
-    return [
-        hit if hit is not None else by_fp[fp]
-        for fp, hit in zip(fingerprints, cached)
-    ]
+    cached.update(zip(pending_fps, executed))
+    return [cached[fp] for fp in fingerprints]
 
 
 def run_specs(

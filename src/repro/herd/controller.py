@@ -41,9 +41,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set
 
-from repro.campaign.campaign import Campaign, machine_to_dict
-from repro.campaign.runner import cache_hit
-from repro.campaign.store import STORE_FORMAT, ResultStore, spec_to_dict
+from repro.campaign.campaign import Campaign
+from repro.campaign.runner import partition_specs
+from repro.campaign.store import FailedRun, ResultStore, machine_to_dict, spec_to_dict
 from repro.herd.protocol import make_shard_doc, shard_specs
 from repro.herd.transport import LocalTransport, SshTransport, Transport, WorkerHandle
 
@@ -197,20 +197,10 @@ class HerdController:
         if recovered:
             self._say(f"recovered {recovered} records from shard stores")
 
-        runner = campaign.runner()
-        pending: Dict[str, object] = {}
-        cached = 0
-        seen: Set[str] = set()
-        for spec in campaign.specs:
-            fp = runner.fingerprint(spec)
-            if fp in seen:
-                continue
-            seen.add(fp)
-            if cache_hit(campaign.store, fp, spec) is not None:
-                cached += 1
-            else:
-                pending[fp] = spec
-        run = HerdRun(skipped=cached)
+        _, cached, pending = partition_specs(
+            campaign.store, campaign.specs, campaign.config
+        )
+        run = HerdRun(skipped=len(cached))
         if not pending:
             return run
 
@@ -277,23 +267,19 @@ class HerdController:
             remaining.discard(fp)
             run.abandoned += 1
             run.failed += 1
-            record = {
-                "record": "failure",
-                "format": STORE_FORMAT,
-                "fingerprint": fp,
-                "spec": spec_to_dict(pending[fp]),
-                "failure": {
-                    "error_type": "WorkerDied",
-                    "message": (
-                        f"assigned worker(s) died {reassign_counts.get(fp, 0) + 1} "
-                        f"times (last: {worker_name}); giving up"
+            attempts = reassign_counts.get(fp, 0) + 1
+            campaign.store.add_failure(
+                FailedRun(
+                    fingerprint=fp,
+                    spec=pending[fp],
+                    error_type="WorkerDied",
+                    message=(
+                        f"assigned worker(s) died {attempts} times "
+                        f"(last: {worker_name}); giving up"
                     ),
-                    "traceback": "",
-                    "attempts": reassign_counts.get(fp, 0) + 1,
-                    "timed_out": False,
-                },
-            }
-            campaign.store.append_raw(record)
+                    attempts=attempts,
+                )
+            )
 
         def reassign_orphans(dead: _Worker) -> None:
             orphans = sorted(dead.assigned - dead.completed)

@@ -11,10 +11,11 @@ pipe for the local transport, framed stdio for ssh). The worker
   streamed to the controller;
 - emits a ``heartbeat`` message every ``heartbeat`` seconds from a
   daemon thread, so liveness is observable even mid-simulation;
-- retries a failing spec up to ``retries`` extra times (deterministic
-  :data:`~repro.campaign.executor.NON_RETRYABLE_ERRORS` break early,
-  matching the campaign executor's policy);
-- ships each outcome as a **store-shaped record** — the exact dict the
+- runs each spec through the campaign's in-process attempt loop
+  (:func:`~repro.campaign.executor.run_in_process`), so a failing spec
+  is retried up to ``retries`` extra times under the same policy;
+- ships each outcome as a **store-shaped record**
+  (:func:`~repro.campaign.store.outcome_record`) — the exact dict the
   controller appends to the worker's shard store with ``append_raw``;
 - honours ``assign`` (re-sharded orphans), ``drain`` (finish the
   in-flight spec, exit) and ``fin`` (exit once the queue is empty).
@@ -28,12 +29,10 @@ import socket
 import sys
 import threading
 import time
-import traceback
 from typing import Callable, List, Optional
 
-from repro.campaign.executor import NON_RETRYABLE_ERRORS
-from repro.campaign.store import STORE_FORMAT, result_to_dict
-from repro.experiments.runner import run_workload
+from repro.campaign.executor import run_in_process
+from repro.campaign.store import machine_from_dict, outcome_record, spec_from_dict
 from repro.herd.protocol import check_shard_doc
 
 __all__ = ["worker_loop", "stdio_worker_main"]
@@ -77,67 +76,10 @@ def _heartbeat_thread(
 
 def _run_entry(entry: dict, machine_doc: dict, retries: int) -> dict:
     """Execute one shard entry; returns a store-shaped record dict."""
-    from repro.campaign.campaign import machine_from_dict
-    from repro.campaign.store import spec_from_dict
-
-    spec = spec_from_dict(entry["spec"])
-    config = machine_from_dict(machine_doc)
-    fingerprint = entry["fingerprint"]
-    error_type = message = tb = ""
-    attempts = 0
-    for attempt in range(1, retries + 2):
-        attempts = attempt
-        start = time.perf_counter()
-        try:
-            result = run_workload(
-                spec.mix,
-                config,
-                spec.scheme,
-                seed=spec.seed,
-                instructions=spec.instructions,
-                scheme_kwargs=spec.scheme_kwargs,
-                telemetry=spec.telemetry,
-                check=spec.check,
-            )
-        except Exception as exc:
-            error_type = type(exc).__name__
-            message = str(exc)
-            tb = traceback.format_exc()
-            if error_type in NON_RETRYABLE_ERRORS:
-                break
-            continue
-        return {
-            "record": "result",
-            "format": STORE_FORMAT,
-            "fingerprint": fingerprint,
-            "spec": entry["spec"],
-            "meta": {
-                "wall_seconds": time.perf_counter() - start,
-                "host": socket.gethostname(),
-                "repro_version": _repro_version(),
-                "created_at": time.time(),
-            },
-            "result": result_to_dict(result),
-        }
-    return {
-        "record": "failure",
-        "format": STORE_FORMAT,
-        "fingerprint": fingerprint,
-        "spec": entry["spec"],
-        "failure": {
-            "error_type": error_type,
-            "message": message,
-            "traceback": tb,
-            "attempts": attempts,
-            "timed_out": False,
-        },
-    }
-
-
-def _repro_version() -> str:
-    from repro import __version__
-
-    return __version__
+    outcome = run_in_process(
+        spec_from_dict(entry["spec"]), machine_from_dict(machine_doc), retries
+    )
+    return outcome_record(entry["fingerprint"], outcome)
 
 
 def worker_loop(

@@ -2,13 +2,12 @@
 
 import pytest
 
-import repro.campaign.executor as executor_module
 import repro.experiments.parallel as parallel_module
 from repro.campaign import (
     Campaign,
     CampaignRunner,
     ResultStore,
-    run_isolated,
+    iter_isolated,
     spec_fingerprint,
 )
 from repro.experiments.configs import machine
@@ -35,7 +34,7 @@ def _counting(monkeypatch, module):
 class TestResume:
     def test_interrupted_campaign_resumes_remainder(self, tmp_path, monkeypatch):
         """After k of n specs, a new campaign object executes exactly n-k."""
-        calls = _counting(monkeypatch, executor_module)
+        calls = _counting(monkeypatch, parallel_module)
         camp = Campaign.grid(tmp_path / "s", CONFIG, **GRID)
         first = camp.run(jobs=1, limit=1)  # interrupted after k=1 of n=4
         assert first.executed == 1 and first.remaining == 3
@@ -55,7 +54,7 @@ class TestResume:
         first = camp.run(jobs=1)
         assert first.executed == 4
 
-        calls = _counting(monkeypatch, executor_module)
+        calls = _counting(monkeypatch, parallel_module)
         again = Campaign.load(tmp_path / "s").run(jobs=1)
         assert len(calls) == 0  # no simulation at all
         assert again.executed == 0 and again.skipped == 4
@@ -63,7 +62,7 @@ class TestResume:
         assert again.results == first.results
 
     def test_duplicate_specs_execute_once(self, tmp_path, monkeypatch):
-        calls = _counting(monkeypatch, executor_module)
+        calls = _counting(monkeypatch, parallel_module)
         spec = RunSpec(mix="Q1", scheme="lru")
         camp = Campaign(tmp_path / "s", CONFIG, [spec, spec, spec])
         run = camp.run(jobs=1)
@@ -123,7 +122,7 @@ class TestFaultIsolation:
         """Fault isolation must not change what a run computes."""
         specs = [RunSpec(mix="Q1", scheme="lru"), RunSpec(mix="Q1", scheme="prism-h")]
         plain = run_specs(specs, CONFIG, jobs=1)
-        outcomes = run_isolated(specs, CONFIG, jobs=2)
+        outcomes = sorted(iter_isolated(specs, CONFIG, jobs=2), key=lambda o: o.index)
         assert [o.result for o in outcomes] == plain
 
 

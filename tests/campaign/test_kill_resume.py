@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-import repro.campaign.executor as executor_module
+import repro.experiments.parallel as parallel_module
 from repro.campaign import Campaign
 from repro.experiments.configs import machine
 
@@ -96,7 +96,7 @@ def test_driver_crash_between_specs_equivalent(tmp_path, monkeypatch):
     camp = Campaign.grid(tmp_path / "s", CONFIG, mixes=["Q1", "Q2"],
                          schemes=["lru"], seeds=[0])
 
-    original = executor_module.run_workload
+    original = parallel_module.run_workload
     calls = []
 
     def die_after_first(*args, **kwargs):
@@ -105,11 +105,11 @@ def test_driver_crash_between_specs_equivalent(tmp_path, monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(executor_module, "run_workload", die_after_first)
+    monkeypatch.setattr(parallel_module, "run_workload", die_after_first)
     with pytest.raises(KeyboardInterrupt):
         camp.run(jobs=1)
 
-    monkeypatch.setattr(executor_module, "run_workload", original)
+    monkeypatch.setattr(parallel_module, "run_workload", original)
     resumed = Campaign.load(tmp_path / "s")
     assert resumed.status().completed == 1
     run = resumed.run(jobs=1)

@@ -299,7 +299,7 @@ class TestCampaignWiring:
             calls["n"] += 1
             raise InvariantViolation("occupancy-recount", "forced by test")
 
-        monkeypatch.setattr(executor, "_run_one", violate)
+        monkeypatch.setattr(RunSpec, "run", violate)
         spec = RunSpec(mix="Q1", scheme="lru", seed=0, instructions=1000)
         outcomes = list(executor.iter_isolated(
             [spec], machine(4), jobs=1, retries=3
@@ -320,7 +320,7 @@ class TestCampaignWiring:
             calls["n"] += 1
             raise ValueError("transient for test")
 
-        monkeypatch.setattr(executor, "_run_one", flake)
+        monkeypatch.setattr(RunSpec, "run", flake)
         spec = RunSpec(mix="Q1", scheme="lru", seed=0, instructions=1000)
         outcomes = list(executor.iter_isolated(
             [spec], machine(4), jobs=1, retries=2

@@ -7,7 +7,7 @@ import queue
 import threading
 import time
 
-from repro.campaign.campaign import machine_to_dict
+from repro.campaign.store import machine_to_dict
 from repro.campaign.fingerprint import spec_fingerprint
 from repro.campaign.store import result_from_dict, spec_to_dict
 from repro.experiments.configs import machine
