@@ -7,18 +7,20 @@ associativity.
 
 from conftest import INSTRUCTIONS, MIXES_PER_COUNT
 
-from repro.experiments import fig01_motivation
+from repro.experiments import RunOptions
+from repro.experiments.registry import get_experiment
 
 
-def test_fig1a_scalability(benchmark, report):
+def test_fig1_motivation(benchmark, report):
     result = benchmark.pedantic(
-        lambda: fig01_motivation.run_scalability(
-            instructions=INSTRUCTIONS, mixes_per_count=MIXES_PER_COUNT or None
+        lambda: get_experiment("fig1").run(
+            options=RunOptions(instructions=INSTRUCTIONS),
+            mixes_per_count=MIXES_PER_COUNT or None,
         ),
         rounds=1,
         iterations=1,
     )
-    rows = result["rows"]
+    rows = result["scalability"]["rows"]
     assert [r["cores"] for r in rows] == [4, 8, 16, 32]
     # The motivation trend: UCP's advantage over LRU shrinks from 4 to 32
     # cores (ANTT ratio drifts toward 1).
@@ -27,17 +29,7 @@ def test_fig1a_scalability(benchmark, report):
         "Figure 1(a) rows (UCP/PIPP ANTT vs LRU; fairness):\n"
         + "\n".join(str(r) for r in rows)
     )
-
-
-def test_fig1b_fine_grain(benchmark, report):
-    result = benchmark.pedantic(
-        lambda: fig01_motivation.run_fine_grain(
-            instructions=INSTRUCTIONS, mixes_per_count=min(MIXES_PER_COUNT or 3, 3)
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    rows = result["rows"]
+    rows = result["fine_grain"]["rows"]
     assert [r["assoc"] for r in rows] == [16, 64, 256]
     # Finer partitioning (higher assoc) must not hurt UCP's throughput.
     assert rows[2]["ucp_throughput_4c"] >= rows[0]["ucp_throughput_4c"] * 0.95

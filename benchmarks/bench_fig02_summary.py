@@ -3,11 +3,12 @@
 from conftest import INSTRUCTIONS, MIXES_PER_COUNT
 
 from repro.experiments import RunOptions, fig02_summary
+from repro.experiments.registry import get_experiment
 
 
 def test_fig2_summary(benchmark, report):
     result = benchmark.pedantic(
-        lambda: fig02_summary.run(
+        lambda: get_experiment("fig2").run(
             options=RunOptions(instructions=INSTRUCTIONS),
             mixes_per_count=MIXES_PER_COUNT or None
         ),

@@ -3,6 +3,7 @@
 from conftest import INSTRUCTIONS, mixes_subset
 
 from repro.experiments import RunOptions, fig03_percore
+from repro.experiments.registry import get_experiment
 from repro.workloads.mixes import mixes_for_cores
 
 
@@ -10,7 +11,7 @@ def test_fig3_per_workload(benchmark, report):
     quad = mixes_subset(mixes_for_cores(4))
     big = mixes_subset(mixes_for_cores(32), limit=2)
     result = benchmark.pedantic(
-        lambda: fig03_percore.run(
+        lambda: get_experiment("fig3").run(
             options=RunOptions(instructions=INSTRUCTIONS[4]),
             quad_mixes=quad, big_mixes=big
         ),

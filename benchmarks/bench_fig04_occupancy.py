@@ -3,13 +3,14 @@
 from conftest import INSTRUCTIONS, mixes_subset
 
 from repro.experiments import RunOptions, fig04_occupancy
+from repro.experiments.registry import get_experiment
 from repro.workloads.mixes import mixes_for_cores
 
 
 def test_fig4_occupancy(benchmark, report):
     mixes = mixes_subset(mixes_for_cores(4))
     result = benchmark.pedantic(
-        lambda: fig04_occupancy.run(
+        lambda: get_experiment("fig4").run(
             options=RunOptions(instructions=INSTRUCTIONS[4]), mixes=mixes
         ),
         rounds=1,

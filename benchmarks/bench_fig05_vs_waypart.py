@@ -3,13 +3,14 @@
 from conftest import INSTRUCTIONS, mixes_subset
 
 from repro.experiments import RunOptions, fig05_vs_waypart
+from repro.experiments.registry import get_experiment
 from repro.workloads.mixes import mixes_for_cores
 
 
 def test_fig5_enforcement_granularity(benchmark, report):
     mixes = mixes_subset(mixes_for_cores(16))
     result = benchmark.pedantic(
-        lambda: fig05_vs_waypart.run(
+        lambda: get_experiment("fig5").run(
             options=RunOptions(instructions=INSTRUCTIONS[16]), mixes=mixes
         ),
         rounds=1,

@@ -3,13 +3,14 @@
 from conftest import INSTRUCTIONS, mixes_subset
 
 from repro.experiments import RunOptions, fig06_cores_eq_ways
+from repro.experiments.registry import get_experiment
 from repro.workloads.mixes import mixes_for_cores
 
 
 def test_fig6_cores_equal_ways(benchmark, report):
     mixes = mixes_subset(mixes_for_cores(16))
     result = benchmark.pedantic(
-        lambda: fig06_cores_eq_ways.run(
+        lambda: get_experiment("fig6").run(
             options=RunOptions(instructions=INSTRUCTIONS[16]), mixes=mixes
         ),
         rounds=1,

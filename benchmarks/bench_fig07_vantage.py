@@ -3,6 +3,7 @@
 from conftest import INSTRUCTIONS, mixes_subset
 
 from repro.experiments import RunOptions, fig07_vantage
+from repro.experiments.registry import get_experiment
 from repro.workloads.mixes import mixes_for_cores
 
 
@@ -10,7 +11,7 @@ def test_fig7_vantage(benchmark, report):
     quad = mixes_subset(mixes_for_cores(4))
     sixteen = mixes_subset(mixes_for_cores(16), limit=3)
     result = benchmark.pedantic(
-        lambda: fig07_vantage.run(
+        lambda: get_experiment("fig7").run(
             options=RunOptions(instructions=INSTRUCTIONS[4]),
             quad_mixes=quad, sixteen_mixes=sixteen
         ),

@@ -3,13 +3,14 @@
 from conftest import INSTRUCTIONS, mixes_subset
 
 from repro.experiments import RunOptions, fig08_vantage_misses
+from repro.experiments.registry import get_experiment
 from repro.workloads.mixes import mixes_for_cores
 
 
 def test_fig8_miss_breakdown(benchmark, report):
     mixes = mixes_subset(mixes_for_cores(4))
     result = benchmark.pedantic(
-        lambda: fig08_vantage_misses.run(
+        lambda: get_experiment("fig8").run(
             options=RunOptions(instructions=INSTRUCTIONS[4]), mixes=mixes
         ),
         rounds=1,

@@ -3,13 +3,14 @@
 from conftest import INSTRUCTIONS, mixes_subset
 
 from repro.experiments import RunOptions, fig09_fairness
+from repro.experiments.registry import get_experiment
 from repro.workloads.mixes import mixes_for_cores
 
 
 def test_fig9_fairness(benchmark, report):
     mixes = mixes_subset(mixes_for_cores(16))
     result = benchmark.pedantic(
-        lambda: fig09_fairness.run(
+        lambda: get_experiment("fig9").run(
             options=RunOptions(instructions=INSTRUCTIONS[16]), mixes=mixes
         ),
         rounds=1,

@@ -3,13 +3,14 @@
 from conftest import INSTRUCTIONS, mixes_subset
 
 from repro.experiments import RunOptions, fig10_qos
+from repro.experiments.registry import get_experiment
 from repro.workloads.mixes import mixes_for_cores
 
 
 def test_fig10_qos(benchmark, report):
     mixes = mixes_subset(mixes_for_cores(16))
     result = benchmark.pedantic(
-        lambda: fig10_qos.run(
+        lambda: get_experiment("fig10").run(
             options=RunOptions(instructions=INSTRUCTIONS[16]),
             mixes=mixes, tolerance=0.25
         ),

@@ -3,13 +3,14 @@
 from conftest import INSTRUCTIONS, mixes_subset
 
 from repro.experiments import RunOptions, fig11_evprob
+from repro.experiments.registry import get_experiment
 from repro.workloads.mixes import mixes_for_cores
 
 
 def test_fig11_probability_stability(benchmark, report):
     mixes = mixes_subset(mixes_for_cores(4))
     result = benchmark.pedantic(
-        lambda: fig11_evprob.run(
+        lambda: get_experiment("fig11").run(
             options=RunOptions(instructions=INSTRUCTIONS[4] * 2), mixes=mixes
         ),
         rounds=1,

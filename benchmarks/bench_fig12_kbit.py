@@ -3,13 +3,14 @@
 from conftest import INSTRUCTIONS, mixes_subset
 
 from repro.experiments import RunOptions, fig12_kbit
+from repro.experiments.registry import get_experiment
 from repro.workloads.mixes import mixes_for_cores
 
 
 def test_fig12_kbit_probabilities(benchmark, report):
     mixes = mixes_subset(mixes_for_cores(4), limit=3)
     result = benchmark.pedantic(
-        lambda: fig12_kbit.run(
+        lambda: get_experiment("fig12").run(
             options=RunOptions(instructions=INSTRUCTIONS[4]), mixes=mixes
         ),
         rounds=1,

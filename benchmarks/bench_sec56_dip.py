@@ -3,13 +3,14 @@
 from conftest import INSTRUCTIONS, mixes_subset
 
 from repro.experiments import RunOptions, sec56_dip
+from repro.experiments.registry import get_experiment
 from repro.workloads.mixes import mixes_for_cores
 
 
 def test_sec56_dip_replacement(benchmark, report):
     mixes = mixes_subset(mixes_for_cores(4))
     result = benchmark.pedantic(
-        lambda: sec56_dip.run(
+        lambda: get_experiment("sec56").run(
             options=RunOptions(instructions=INSTRUCTIONS[4]), mixes=mixes
         ),
         rounds=1,

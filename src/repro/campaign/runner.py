@@ -16,7 +16,7 @@ contract and is what the figure experiments ride on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.campaign import fingerprint
@@ -47,15 +47,18 @@ def cache_hit(store: ResultStore, fingerprint: str, spec: RunSpec) -> Optional[W
 
 
 def partition_specs(
-    store: ResultStore, specs: Sequence[RunSpec], config: MachineConfig
+    store: Optional[ResultStore], specs: Sequence[RunSpec], config: MachineConfig
 ) -> Tuple[List[str], Dict[str, WorkloadResult], Dict[str, RunSpec]]:
     """Fingerprint ``specs``, deduplicate them, and split cached from pending.
 
     Returns ``(fingerprints, cached, pending)``: one fingerprint per spec,
     in spec order; the stored result per cached fingerprint; and the spec
-    to execute per pending fingerprint, in first-appearance order. When
-    duplicates of one fingerprint differ only in ``telemetry``, the
-    telemetry request is the one served, so every duplicate gets a trace.
+    to execute per pending fingerprint, in first-appearance order.
+    Duplicates of one fingerprint may differ in the two fields it leaves
+    out, ``telemetry`` and ``check``; the served spec asks for each one
+    any duplicate asks for, so every duplicate gets a trace and a
+    requested invariant audit runs. With no ``store`` nothing is cached
+    and every unique spec is pending.
     """
     specs = list(specs)
     # Both calls go through their module globals, where perfbench's
@@ -63,12 +66,17 @@ def partition_specs(
     fingerprints = [fingerprint.spec_fingerprint(spec, config) for spec in specs]
     unique: Dict[str, RunSpec] = {}
     for spec, fp in zip(specs, fingerprints):
-        if fp not in unique or (spec.telemetry and not unique[fp].telemetry):
-            unique[fp] = spec
+        kept = unique.setdefault(fp, spec)
+        if (spec.telemetry and not kept.telemetry) or (spec.check and not kept.check):
+            unique[fp] = replace(
+                kept,
+                telemetry=kept.telemetry or spec.telemetry,
+                check=kept.check or spec.check,
+            )
     cached: Dict[str, WorkloadResult] = {}
     pending: Dict[str, RunSpec] = {}
     for fp, spec in unique.items():
-        hit = cache_hit(store, fp, spec)
+        hit = None if store is None else cache_hit(store, fp, spec)
         if hit is None:
             pending[fp] = spec
         else:

@@ -22,6 +22,7 @@ from repro.experiments.configs import DEFAULT_INSTRUCTIONS, machine
 from repro.experiments.export import export_csv
 from repro.experiments.options import RunOptions
 from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.report import BUDGETS, generate_report
 from repro.experiments.runner import run_workload
 from repro.experiments.schemes import SCHEMES
 from repro.workloads.mixes import MIXES, get_mix
@@ -36,9 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-sim",
         description="PriSM (ISCA 2012) reproduction: shared-cache simulation CLI",
     )
-    # Shared by every fan-out subcommand; exported as REPRO_JOBS /
-    # REPRO_STORE so the parallel executor is picked up however deep the
-    # experiment code sits.
+    # Shared by every fan-out subcommand; also exported as REPRO_JOBS /
+    # REPRO_STORE for the commands that do not pass them on explicitly.
     jobs_parent = argparse.ArgumentParser(add_help=False)
     jobs_parent.add_argument(
         "--jobs",
@@ -157,8 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[jobs_parent],
     )
     report_p.add_argument("-o", "--output", default="results.md")
-    report_p.add_argument("--budget", choices=["micro", "quick", "full"],
-                          default="quick")
+    report_p.add_argument("--budget", choices=sorted(BUDGETS), default="quick")
     report_p.add_argument("--only", nargs="*", default=None)
     report_p.add_argument("--quiet", action="store_true")
 
@@ -579,11 +578,10 @@ def cmd_characterize(args) -> int:
 def cmd_report(args) -> int:
     from pathlib import Path
 
-    from repro.experiments.report import generate_report
-
     progress = None if args.quiet else (lambda msg: print(f"  {msg}", flush=True))
     path = generate_report(
-        Path(args.output), budget=args.budget, only=args.only, progress=progress
+        Path(args.output), budget=args.budget, only=args.only, progress=progress,
+        jobs=args.jobs, store=args.store,
     )
     print(f"wrote {path}")
     return 0
@@ -615,19 +613,20 @@ def cmd_sweep(args) -> int:
 def cmd_tenants(args) -> int:
     from repro.experiments import multi_tenant
 
+    experiment = EXPERIMENTS["tenants"]
     options = RunOptions(
         instructions=args.requests,
         seed=args.seed,
         jobs=args.jobs,
         store=args.store,
     )
-    result = multi_tenant.run(
+    result = experiment.run(
         options=options,
         workload=args.workload,
         schemes=args.schemes or list(multi_tenant.DEFAULT_SCHEMES),
         scale_factor=args.scale_factor,
     )
-    print(multi_tenant.format_result(result))
+    print(experiment.format(result))
     if args.json:
         import json
 
@@ -661,9 +660,9 @@ def cmd_check(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command not in ("campaign", "herd"):
-        # Exported rather than threaded through every experiment signature:
-        # repro.experiments.parallel resolves REPRO_JOBS/REPRO_STORE at
-        # fan-out time. (Campaign commands manage their own store/jobs.)
+        # repro.experiments.parallel resolves REPRO_JOBS/REPRO_STORE when
+        # a caller (compare's store, sweep) passes neither. (Campaign
+        # commands manage their own store/jobs.)
         import os
 
         if getattr(args, "jobs", None) is not None:

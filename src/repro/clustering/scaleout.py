@@ -144,10 +144,9 @@ def run_shared_workload(
 
 # -- the registry experiment -------------------------------------------------
 
-from repro.experiments.common import Progress, format_table  # noqa: E402
+from repro.experiments.common import format_table  # noqa: E402
 from repro.experiments.configs import machine  # noqa: E402
-from repro.experiments.options import experiment_run  # noqa: E402
-from repro.experiments.parallel import RunSpec, run_specs  # noqa: E402
+from repro.experiments.parallel import RunSpec  # noqa: E402
 
 #: The scheme panel the scale-out scenario compares by default.
 DEFAULT_SCHEMES = ("lru", "prism-h", "prism-f")
@@ -174,22 +173,22 @@ def _result_row(result: WorkloadResult, clusters: Optional[int]) -> Dict:
     }
 
 
-@experiment_run
-def run(
+def _refs(workloads: Sequence[str]) -> list:
+    return [w if ":" in w else f"shared:{w}" for w in workloads]
+
+
+def specs(
     instructions: Optional[int] = None,
     workloads: Sequence[str] = DEFAULT_WORKLOADS,
     schemes: Sequence[str] = DEFAULT_SCHEMES,
     clusters: int = 4,
     scale_factor: int = 64,
     seed: int = 0,
-    progress: Progress = None,
-) -> Dict:
-    """The many-core scale-out panels: throughput and Jain fairness.
+):
+    """The many-core scale-out panels' runs.
 
-    Sweeps every workload preset under every scheme twice — per-core
-    management and cluster-granular management (``clusters`` clusters) —
-    and reports throughput, weighted speedup, Jain fairness over
-    per-core slowdowns, and hit rate for each cell.
+    Every workload preset under every scheme twice — per-core management
+    and cluster-granular management (``clusters`` clusters).
 
     Args:
         instructions: total shared request budget per run (``None`` =
@@ -200,34 +199,45 @@ def run(
         clusters: cluster-count cap for the clustered half of the panel.
         scale_factor/seed: as everywhere else.
     """
-    workloads = [w if ":" in w else f"shared:{w}" for w in workloads]
-    schemes = list(schemes)
-    panels = []
-    for ref in workloads:
-        source = resolve_workload(ref)
-        config = machine(source.num_cores, scale_factor=scale_factor)
-        specs = [
-            RunSpec(
+    pairs = []
+    for ref in _refs(workloads):
+        config = machine(resolve_workload(ref).num_cores, scale_factor=scale_factor)
+        pairs += [
+            (config, RunSpec(
                 mix=ref,
                 scheme=scheme,
                 seed=seed,
                 instructions=instructions,
                 clusters=cluster_count,
-            )
+            ))
             for scheme in schemes
             for cluster_count in (None, clusters)
         ]
-        if progress:
-            progress(
-                f"{ref}: {len(specs)} runs ({source.num_cores} cores, "
-                f"schemes {', '.join(schemes)}, per-core vs {clusters} clusters)"
-            )
-        results = run_specs(specs, config, progress=progress)
+    return pairs
+
+
+def summarise(
+    results,
+    workloads: Sequence[str] = DEFAULT_WORKLOADS,
+    schemes: Sequence[str] = DEFAULT_SCHEMES,
+    clusters: int = 4,
+    **_,
+) -> Dict:
+    """Throughput, weighted speedup, Jain fairness over per-core
+    slowdowns, and hit rate for each cell."""
+    results = iter(results)
+    workloads = _refs(workloads)
+    schemes = list(schemes)
+    panels = []
+    for ref in workloads:
         rows = [
-            _result_row(result, spec.clusters)
-            for spec, result in zip(specs, results)
+            _result_row(next(results), cluster_count)
+            for _ in schemes
+            for cluster_count in (None, clusters)
         ]
-        panels.append({"workload": ref, "cores": source.num_cores, "rows": rows})
+        panels.append(
+            {"workload": ref, "cores": resolve_workload(ref).num_cores, "rows": rows}
+        )
     return {
         "id": "scaleout",
         "schemes": schemes,

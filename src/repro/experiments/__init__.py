@@ -1,16 +1,17 @@
 """Experiment harness: configurations, runner, and per-figure reproductions.
 
-Each paper figure/table has a module exposing ``run(...) -> rows`` and is
-registered in :mod:`repro.experiments.registry`; the ``benchmarks/`` tree
-wraps these in pytest-benchmark entry points that print paper-style rows.
+Each paper figure/table has a module declaring its runs
+(``specs(**budget)``) and reducing their results (``summarise``); it is
+registered in :mod:`repro.experiments.registry`, whose
+``Experiment.run`` executes it. The ``benchmarks/`` tree wraps these in
+pytest-benchmark entry points that print paper-style rows.
 """
 
 from repro.experiments.configs import MachineConfig, machine
-from repro.experiments.options import RunOptions, experiment_run
+from repro.experiments.options import RunOptions
 from repro.experiments.parallel import (
     RunSpec,
     SpecRunError,
-    parallel_compare_schemes,
     resolve_jobs,
     run_specs,
 )
@@ -26,7 +27,6 @@ __all__ = [
     "MachineConfig",
     "machine",
     "RunOptions",
-    "experiment_run",
     "WorkloadResult",
     "run_workload",
     "standalone_ipcs",
@@ -37,5 +37,4 @@ __all__ = [
     "SpecRunError",
     "resolve_jobs",
     "run_specs",
-    "parallel_compare_schemes",
 ]

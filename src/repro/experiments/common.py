@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.experiments.configs import MachineConfig
-from repro.experiments.runner import WorkloadResult, run_workload
+from repro.experiments.parallel import RunSpec, run_specs
+from repro.experiments.runner import WorkloadResult
 from repro.metrics import geomean
 
-__all__ = ["compare_schemes", "format_table", "Progress", "resolve_instructions"]
+__all__ = [
+    "by_mix",
+    "compare_schemes",
+    "format_table",
+    "Progress",
+    "resolve_instructions",
+    "scheme_grid",
+]
 
 Progress = Optional[Callable[[str], None]]
 
@@ -22,6 +30,45 @@ def resolve_instructions(instructions, cores: int) -> Optional[int]:
     if isinstance(instructions, dict):
         return instructions.get(cores)
     return instructions
+
+
+def scheme_grid(
+    config: MachineConfig,
+    mixes: Sequence[str],
+    schemes: Sequence[str],
+    instructions: Optional[int] = None,
+    seed: int = 0,
+    scheme_kwargs: Optional[Dict[str, dict]] = None,
+    telemetry: bool = False,
+) -> List[Tuple[MachineConfig, RunSpec]]:
+    """Every mix under every scheme on ``config``, mix-major.
+
+    The declared runs of a figure panel; :func:`by_mix` regroups their
+    results in the same order.
+    """
+    scheme_kwargs = scheme_kwargs or {}
+    return [
+        (config, RunSpec(
+            mix=mix,
+            scheme=scheme,
+            seed=seed,
+            instructions=instructions,
+            scheme_kwargs=scheme_kwargs.get(scheme),
+            telemetry=telemetry,
+        ))
+        for mix in mixes
+        for scheme in schemes
+    ]
+
+
+def by_mix(
+    results: Iterator[WorkloadResult], mixes: Sequence, schemes: Sequence[str]
+) -> Dict[str, Dict[str, WorkloadResult]]:
+    """Take one :func:`scheme_grid`'s results off ``results``.
+
+    Returns ``grid[mix][scheme] -> WorkloadResult``.
+    """
+    return {mix: {scheme: next(results) for scheme in schemes} for mix in mixes}
 
 
 def compare_schemes(
@@ -47,45 +94,13 @@ def compare_schemes(
     Returns:
         ``results[mix][scheme] -> WorkloadResult``.
     """
-    import os
-
-    from repro.experiments.parallel import (
-        STORE_ENV,
-        parallel_compare_schemes,
-        resolve_jobs,
+    grid = scheme_grid(
+        config, mixes, schemes, instructions, seed, scheme_kwargs, telemetry
     )
-
-    # A configured result store routes even serial grids through
-    # run_specs, which owns the skip-completed/persist cache layer.
-    if resolve_jobs(jobs) > 1 or os.environ.get(STORE_ENV):
-        return parallel_compare_schemes(
-            mixes,
-            config,
-            schemes,
-            instructions=instructions,
-            seed=seed,
-            scheme_kwargs=scheme_kwargs,
-            progress=progress,
-            jobs=jobs,
-            telemetry=telemetry,
-        )
-    scheme_kwargs = scheme_kwargs or {}
-    results: Dict[str, Dict[str, WorkloadResult]] = {}
-    for mix in mixes:
-        results[mix] = {}
-        for scheme in schemes:
-            if progress:
-                progress(f"{mix} / {scheme}")
-            results[mix][scheme] = run_workload(
-                mix,
-                config,
-                scheme,
-                seed=seed,
-                instructions=instructions,
-                scheme_kwargs=scheme_kwargs.get(scheme),
-                telemetry=telemetry,
-            )
-    return results
+    results = run_specs(
+        [spec for _, spec in grid], config, jobs=jobs, progress=progress
+    )
+    return by_mix(iter(results), mixes, schemes)
 
 
 def geomean_ratio(

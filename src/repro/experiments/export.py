@@ -1,16 +1,16 @@
 """Export experiment results to CSV.
 
-Every experiment's ``run()`` returns a dict whose tabular payloads are
+Every experiment's summary is a dict whose tabular payloads are
 lists of flat row-dicts (usually under ``"rows"``, sometimes nested one
 level, e.g. Fig. 3's ``quad``/``thirtytwo`` panels). The exporter
 flattens that shape generically so downstream users can plot the paper's
 figures with their own tooling:
 
-    from repro.experiments import fig07_vantage
     from repro.experiments.export import export_csv
     from repro.experiments.options import RunOptions
+    from repro.experiments.registry import get_experiment
 
-    result = fig07_vantage.run(RunOptions(instructions=200_000))
+    result = get_experiment("fig7").run(RunOptions(instructions=200_000))
     export_csv(result, "fig7")          # fig7_quad.csv, fig7_sixteen.csv
 """
 

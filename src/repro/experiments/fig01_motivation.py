@@ -12,116 +12,91 @@ partitioning, and UCP gains more from it than LRU does.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.experiments.common import (
-    Progress,
-    compare_schemes,
+    by_mix,
     format_table,
     geomean_ratio,
     resolve_instructions,
+    scheme_grid,
 )
-from repro.experiments.configs import machine
-from repro.experiments.options import experiment_run
+from repro.experiments.configs import MachineConfig, machine
 from repro.metrics import geomean
 from repro.workloads.mixes import mixes_for_cores
 
-__all__ = ["run_scalability", "run_fine_grain", "run", "format_result"]
+__all__ = ["specs", "summarise", "format_result"]
 
 
-def run_scalability(
-    instructions: Optional[int] = None,
-    mixes_per_count: Optional[int] = None,
-    seed: int = 0,
-    progress: Progress = None,
-) -> Dict:
-    """Fig. 1(a): normalised ANTT of UCP/PIPP and fairness vs core count."""
-    rows = []
+def _grids(
+    mixes_per_count: Optional[int],
+) -> Iterator[Tuple[str, MachineConfig, List[str], List[str]]]:
+    """``(panel, machine, mixes, schemes)`` of every grid, in run order.
+
+    Panel ``a`` sweeps core count 4 -> 32 (fairness scheme through 16
+    cores); panel ``b`` sweeps associativity 16 -> 256 at 4 and 8 cores
+    with ``mixes_per_count`` mixes per count (6 when unset).
+    """
     for cores in (4, 8, 16, 32):
-        config = machine(cores)
-        mixes = mixes_for_cores(cores)
-        if mixes_per_count:
-            mixes = mixes[:mixes_per_count]
         schemes = ["lru", "ucp", "pipp"]
         if cores <= 16:
             schemes.append("fair-waypart")
-        results = compare_schemes(
-            mixes,
-            config,
-            schemes,
-            instructions=resolve_instructions(instructions, cores),
-            seed=seed,
-            progress=progress,
-        )
-        row = {
-            "cores": cores,
-            "ucp_antt_vs_lru": geomean_ratio(results, "ucp", "lru"),
-            "pipp_antt_vs_lru": geomean_ratio(results, "pipp", "lru"),
-        }
-        if cores <= 16:
-            row["fairness_waypart"] = geomean(
-                [results[m]["fair-waypart"].fairness for m in mixes]
-            )
-            row["fairness_lru"] = geomean([results[m]["lru"].fairness for m in mixes])
-        rows.append(row)
-    return {"id": "fig1a", "rows": rows}
-
-
-def run_fine_grain(
-    instructions: Optional[int] = None,
-    mixes_per_count: Optional[int] = 6,
-    seed: int = 0,
-    progress: Progress = None,
-) -> Dict:
-    """Fig. 1(b): LRU and UCP throughput at 16/64/256-way associativity."""
-    rows = []
+        yield "a", machine(cores), _mixes(cores, mixes_per_count), schemes
     for assoc in (16, 64, 256):
-        per_assoc = {"assoc": assoc}
         for cores in (4, 8):
-            config = machine(cores, assoc=assoc)
-            mixes = mixes_for_cores(cores)
-            if mixes_per_count:
-                mixes = mixes[:mixes_per_count]
-            results = compare_schemes(
-                mixes,
-                config,
-                ["lru", "ucp"],
-                instructions=resolve_instructions(instructions, cores),
-                seed=seed,
-                progress=progress,
-            )
-            per_assoc[f"lru_throughput_{cores}c"] = geomean(
-                [results[m]["lru"].throughput for m in mixes]
-            )
-            per_assoc[f"ucp_throughput_{cores}c"] = geomean(
-                [results[m]["ucp"].throughput for m in mixes]
-            )
-        rows.append(per_assoc)
-    return {"id": "fig1b", "rows": rows}
+            mixes = _mixes(cores, mixes_per_count or 6)
+            yield "b", machine(cores, assoc=assoc), mixes, ["lru", "ucp"]
 
 
-@experiment_run
-def run(
-    instructions: Optional[int] = None,
-    mixes_per_count: Optional[int] = None,
-    seed: int = 0,
-    progress: Progress = None,
-) -> Dict:
-    """Both panels of Figure 1."""
+def _mixes(cores: int, limit: Optional[int]) -> List[str]:
+    mixes = mixes_for_cores(cores)
+    return mixes[:limit] if limit else mixes
+
+
+def specs(instructions=None, mixes_per_count: Optional[int] = None, seed: int = 0):
+    """Both panels' runs: (a) scalability, (b) fine-grained partitioning."""
+    return [
+        pair
+        for _, config, mixes, schemes in _grids(mixes_per_count)
+        for pair in scheme_grid(
+            config, mixes, schemes,
+            resolve_instructions(instructions, config.num_cores), seed,
+        )
+    ]
+
+
+def summarise(results, mixes_per_count: Optional[int] = None, **_) -> Dict:
+    """Fig. 1(a): normalised ANTT of UCP/PIPP and fairness vs core count;
+    Fig. 1(b): LRU and UCP throughput at 16/64/256-way associativity."""
+    results = iter(results)
+    scalability = []
+    fine_grain: Dict[int, Dict] = {}
+    for panel, config, mixes, schemes in _grids(mixes_per_count):
+        grid = by_mix(results, mixes, schemes)
+        cores = config.num_cores
+        if panel == "a":
+            row = {
+                "cores": cores,
+                "ucp_antt_vs_lru": geomean_ratio(grid, "ucp", "lru"),
+                "pipp_antt_vs_lru": geomean_ratio(grid, "pipp", "lru"),
+            }
+            if cores <= 16:
+                row["fairness_waypart"] = geomean(
+                    [grid[m]["fair-waypart"].fairness for m in mixes]
+                )
+                row["fairness_lru"] = geomean([grid[m]["lru"].fairness for m in mixes])
+            scalability.append(row)
+        else:
+            assoc = config.geometry.assoc
+            row = fine_grain.setdefault(assoc, {"assoc": assoc})
+            for scheme in schemes:
+                row[f"{scheme}_throughput_{cores}c"] = geomean(
+                    [grid[m][scheme].throughput for m in mixes]
+                )
     return {
         "id": "fig1",
-        "scalability": run_scalability(
-            instructions=instructions,
-            mixes_per_count=mixes_per_count,
-            seed=seed,
-            progress=progress,
-        ),
-        "fine_grain": run_fine_grain(
-            instructions=instructions,
-            mixes_per_count=mixes_per_count or 6,
-            seed=seed,
-            progress=progress,
-        ),
+        "scalability": {"id": "fig1a", "rows": scalability},
+        "fine_grain": {"id": "fig1b", "rows": list(fine_grain.values())},
     }
 
 

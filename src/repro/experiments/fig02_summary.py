@@ -9,63 +9,74 @@ fairness by 1.4/13.1/23.3%.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.experiments.common import (
-    Progress,
-    compare_schemes,
+    by_mix,
     format_table,
     geomean_ratio,
     resolve_instructions,
+    scheme_grid,
 )
-from repro.experiments.configs import machine
-from repro.experiments.options import experiment_run
+from repro.experiments.configs import MachineConfig, machine
 from repro.metrics import geomean
 from repro.workloads.mixes import mixes_for_cores
 
-__all__ = ["run", "format_result"]
+__all__ = ["specs", "summarise", "format_result"]
 
 
-@experiment_run
-def run(
-    instructions: Optional[int] = None,
-    mixes_per_count: Optional[int] = None,
-    core_counts=(4, 8, 16, 32),
-    seed: int = 0,
-    progress: Progress = None,
-) -> Dict:
-    rows = []
+def _grids(
+    mixes_per_count: Optional[int], core_counts
+) -> Iterator[Tuple[MachineConfig, List[str], List[str]]]:
     for cores in core_counts:
-        config = machine(cores)
         mixes = mixes_for_cores(cores)
         if mixes_per_count:
             mixes = mixes[:mixes_per_count]
         schemes = ["lru", "prism-h", "ucp", "pipp"]
         if cores <= 16:
             schemes += ["prism-f", "fair-waypart"]
-        results = compare_schemes(
-            mixes,
-            config,
-            schemes,
-            instructions=resolve_instructions(instructions, cores),
-            seed=seed,
-            progress=progress,
+        yield machine(cores), mixes, schemes
+
+
+def specs(
+    instructions=None,
+    mixes_per_count: Optional[int] = None,
+    core_counts=(4, 8, 16, 32),
+    seed: int = 0,
+):
+    return [
+        pair
+        for config, mixes, schemes in _grids(mixes_per_count, core_counts)
+        for pair in scheme_grid(
+            config, mixes, schemes,
+            resolve_instructions(instructions, config.num_cores), seed,
         )
+    ]
+
+
+def summarise(
+    results, mixes_per_count: Optional[int] = None, core_counts=(4, 8, 16, 32), **_
+) -> Dict:
+    results = iter(results)
+    rows = []
+    for config, mixes, schemes in _grids(mixes_per_count, core_counts):
+        grid = by_mix(results, mixes, schemes)
+        cores = config.num_cores
         row = {
             "cores": cores,
-            "prism_h_antt_vs_lru": geomean_ratio(results, "prism-h", "lru"),
-            "ucp_antt_vs_lru": geomean_ratio(results, "ucp", "lru"),
-            "pipp_antt_vs_lru": geomean_ratio(results, "pipp", "lru"),
+            "prism_h_antt_vs_lru": geomean_ratio(grid, "prism-h", "lru"),
+            "ucp_antt_vs_lru": geomean_ratio(grid, "ucp", "lru"),
+            "pipp_antt_vs_lru": geomean_ratio(grid, "pipp", "lru"),
         }
         if cores <= 16:
-            row["fairness_lru"] = geomean([results[m]["lru"].fairness for m in mixes])
+            row["fairness_lru"] = geomean([grid[m]["lru"].fairness for m in mixes])
             row["fairness_prism_f"] = geomean(
-                [results[m]["prism-f"].fairness for m in mixes]
+                [grid[m]["prism-f"].fairness for m in mixes]
             )
             row["fairness_waypart"] = geomean(
-                [results[m]["fair-waypart"].fairness for m in mixes]
+                [grid[m]["fair-waypart"].fairness for m in mixes]
             )
-            row["prism_f_antt_vs_lru"] = geomean_ratio(results, "prism-f", "lru")
+            row["prism_f_antt_vs_lru"] = geomean_ratio(grid, "prism-f", "lru")
         rows.append(row)
     return {"id": "fig2", "rows": rows}
 

@@ -11,59 +11,56 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.experiments.common import Progress, compare_schemes, format_table
+from repro.experiments.common import by_mix, format_table, scheme_grid
 from repro.experiments.configs import machine
-from repro.experiments.options import experiment_run
 from repro.metrics import geomean
 from repro.workloads.mixes import mixes_for_cores
 
-__all__ = ["run", "format_result"]
+__all__ = ["specs", "summarise", "format_result"]
 
-_SCHEMES = ["lru", "prism-h", "ucp", "pipp"]
+SCHEMES = ["lru", "prism-h", "ucp", "pipp"]
 
 
-def _panel(
-    cores: int,
-    instructions: Optional[int],
-    mixes: Optional[List[str]],
-    seed: int,
-    progress: Progress,
-) -> Dict:
-    config = machine(cores)
-    mix_names = mixes or mixes_for_cores(cores)
-    results = compare_schemes(
-        mix_names, config, _SCHEMES, instructions=instructions, seed=seed, progress=progress
-    )
+def _panels(quad_mixes: Optional[List[str]], big_mixes: Optional[List[str]]):
+    """``(key, cores, mixes)`` of the two panels, in run order."""
+    return [
+        ("quad", 4, quad_mixes or mixes_for_cores(4)),
+        ("thirtytwo", 32, big_mixes or mixes_for_cores(32)),
+    ]
+
+
+def specs(instructions=None, quad_mixes=None, big_mixes=None, seed: int = 0):
+    return [
+        pair
+        for _, cores, mixes in _panels(quad_mixes, big_mixes)
+        for pair in scheme_grid(machine(cores), mixes, SCHEMES, instructions, seed)
+    ]
+
+
+def summarise(results, quad_mixes=None, big_mixes=None, **_) -> Dict:
+    results = iter(results)
+    summary = {"id": "fig3"}
+    for key, cores, mixes in _panels(quad_mixes, big_mixes):
+        summary[key] = _panel(cores, by_mix(results, mixes, SCHEMES))
+    return summary
+
+
+def _panel(cores: int, grid) -> Dict:
     rows = []
-    for mix in mix_names:
-        lru_antt = results[mix]["lru"].antt
+    for mix, per_scheme in grid.items():
+        lru_antt = per_scheme["lru"].antt
         rows.append(
             {
                 "mix": mix,
-                "prism_h": results[mix]["prism-h"].antt / lru_antt,
-                "ucp": results[mix]["ucp"].antt / lru_antt,
-                "pipp": results[mix]["pipp"].antt / lru_antt,
+                "prism_h": per_scheme["prism-h"].antt / lru_antt,
+                "ucp": per_scheme["ucp"].antt / lru_antt,
+                "pipp": per_scheme["pipp"].antt / lru_antt,
             }
         )
     summary = {
         scheme: geomean([r[scheme] for r in rows]) for scheme in ("prism_h", "ucp", "pipp")
     }
     return {"cores": cores, "rows": rows, "geomean": summary}
-
-
-@experiment_run
-def run(
-    instructions: Optional[int] = None,
-    quad_mixes: Optional[List[str]] = None,
-    big_mixes: Optional[List[str]] = None,
-    seed: int = 0,
-    progress: Progress = None,
-) -> Dict:
-    return {
-        "id": "fig3",
-        "quad": _panel(4, instructions, quad_mixes, seed, progress),
-        "thirtytwo": _panel(32, instructions, big_mixes, seed, progress),
-    }
 
 
 def format_result(result: Dict) -> str:

@@ -15,37 +15,29 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.experiments.common import Progress, compare_schemes, format_table
+from repro.experiments.common import by_mix, format_table, scheme_grid
 from repro.experiments.configs import machine
-from repro.experiments.options import experiment_run
 from repro.workloads.mixes import mixes_for_cores
 
-__all__ = ["run", "format_result"]
+__all__ = ["specs", "summarise", "format_result"]
+
+SCHEMES = ["prism-h", "ucp"]
 
 
-@experiment_run
-def run(
-    instructions: Optional[int] = None,
-    mixes: Optional[List[str]] = None,
-    seed: int = 0,
-    progress: Progress = None,
-) -> Dict:
-    config = machine(4)
-    mix_names = mixes or mixes_for_cores(4)
-    results = compare_schemes(
-        mix_names,
-        config,
-        ["prism-h", "ucp"],
-        instructions=instructions,
-        seed=seed,
-        progress=progress,
+def specs(instructions=None, mixes: Optional[List[str]] = None, seed: int = 0):
+    return scheme_grid(
+        machine(4), mixes or mixes_for_cores(4), SCHEMES, instructions, seed,
         telemetry=True,
     )
+
+
+def summarise(results, mixes: Optional[List[str]] = None, **_) -> Dict:
+    grid = by_mix(iter(results), mixes or mixes_for_cores(4), SCHEMES)
     rows = []
-    for mix in mix_names:
-        prism = results[mix]["prism-h"].telemetry
-        ucp = results[mix]["ucp"].telemetry
-        for core, name in enumerate(results[mix]["prism-h"].benchmarks):
+    for mix, per_scheme in grid.items():
+        prism = per_scheme["prism-h"].telemetry
+        ucp = per_scheme["ucp"].telemetry
+        for core, name in enumerate(per_scheme["prism-h"].benchmarks):
             rows.append(
                 {
                     "mix": mix,

@@ -9,41 +9,34 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.experiments.common import Progress, compare_schemes, format_table
+from repro.experiments.common import by_mix, format_table, scheme_grid
 from repro.experiments.configs import machine
-from repro.experiments.options import experiment_run
 from repro.metrics import geomean
 from repro.workloads.mixes import mixes_for_cores
 
-__all__ = ["run", "format_result"]
+__all__ = ["specs", "summarise", "format_result"]
+
+SCHEMES = ["lru", "prism-h", "waypart-hitmax"]
 
 
-@experiment_run
-def run(
-    instructions: Optional[int] = None,
-    mixes: Optional[List[str]] = None,
-    cores: int = 16,
-    seed: int = 0,
-    progress: Progress = None,
-) -> Dict:
-    config = machine(cores)
-    mix_names = mixes or mixes_for_cores(cores)
-    results = compare_schemes(
-        mix_names,
-        config,
-        ["lru", "prism-h", "waypart-hitmax"],
-        instructions=instructions,
-        seed=seed,
-        progress=progress,
+def specs(
+    instructions=None, mixes: Optional[List[str]] = None, cores: int = 16, seed: int = 0
+):
+    return scheme_grid(
+        machine(cores), mixes or mixes_for_cores(cores), SCHEMES, instructions, seed
     )
+
+
+def summarise(results, mixes: Optional[List[str]] = None, cores: int = 16, **_) -> Dict:
+    grid = by_mix(iter(results), mixes or mixes_for_cores(cores), SCHEMES)
     rows = []
-    for mix in mix_names:
-        lru_antt = results[mix]["lru"].antt
+    for mix, per_scheme in grid.items():
+        lru_antt = per_scheme["lru"].antt
         rows.append(
             {
                 "mix": mix,
-                "prism": results[mix]["prism-h"].antt / lru_antt,
-                "waypart": results[mix]["waypart-hitmax"].antt / lru_antt,
+                "prism": per_scheme["prism-h"].antt / lru_antt,
+                "waypart": per_scheme["waypart-hitmax"].antt / lru_antt,
             }
         )
     return {

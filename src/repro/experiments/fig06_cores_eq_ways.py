@@ -9,40 +9,36 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.experiments.common import Progress, compare_schemes, format_table
+from repro.experiments.common import by_mix, format_table, scheme_grid
 from repro.experiments.configs import machine
-from repro.experiments.options import experiment_run
 from repro.metrics import geomean
 from repro.workloads.mixes import mixes_for_cores
 
-__all__ = ["run", "format_result"]
+__all__ = ["specs", "summarise", "format_result"]
+
+SCHEMES = ["lru", "prism-h"]
 
 
-@experiment_run
-def run(
-    instructions: Optional[int] = None,
-    mixes: Optional[List[str]] = None,
-    seed: int = 0,
-    progress: Progress = None,
-) -> Dict:
+def _machine():
     # The paper's 8MB 16-way LLC, scaled like every other machine.
-    config = machine(16, assoc=16, llc_bytes=8 << 20)
-    mix_names = mixes or mixes_for_cores(16)
-    results = compare_schemes(
-        mix_names,
-        config,
-        ["lru", "prism-h"],
-        instructions=instructions,
-        seed=seed,
-        progress=progress,
+    return machine(16, assoc=16, llc_bytes=8 << 20)
+
+
+def specs(instructions=None, mixes: Optional[List[str]] = None, seed: int = 0):
+    return scheme_grid(
+        _machine(), mixes or mixes_for_cores(16), SCHEMES, instructions, seed
     )
+
+
+def summarise(results, mixes: Optional[List[str]] = None, **_) -> Dict:
+    grid = by_mix(iter(results), mixes or mixes_for_cores(16), SCHEMES)
     rows = [
-        {"mix": mix, "prism_vs_lru": results[mix]["prism-h"].antt / results[mix]["lru"].antt}
-        for mix in mix_names
+        {"mix": mix, "prism_vs_lru": per_scheme["prism-h"].antt / per_scheme["lru"].antt}
+        for mix, per_scheme in grid.items()
     ]
     return {
         "id": "fig6",
-        "geometry": str(config.geometry),
+        "geometry": str(_machine().geometry),
         "rows": rows,
         "geomean": geomean([r["prism_vs_lru"] for r in rows]),
     }

@@ -11,41 +11,50 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.experiments.common import Progress, compare_schemes, format_table
+from repro.experiments.common import by_mix, format_table, scheme_grid
 from repro.experiments.configs import machine
-from repro.experiments.options import experiment_run
 from repro.metrics import geomean
 from repro.workloads.mixes import mixes_for_cores
 
-__all__ = ["run", "format_result"]
+__all__ = ["specs", "summarise", "format_result"]
+
+SCHEMES = ["tslru", "vantage", "prism-ucpx"]
 
 
-def _panel(
-    cores: int,
-    instructions: Optional[int],
-    mixes: Optional[List[str]],
-    seed: int,
-    progress: Progress,
-) -> Dict:
-    config = machine(cores)
-    mix_names = mixes or mixes_for_cores(cores)
-    results = compare_schemes(
-        mix_names,
-        config,
-        ["tslru", "vantage", "prism-ucpx"],
-        instructions=instructions,
-        seed=seed,
-        progress=progress,
-    )
+def _panels(quad_mixes: Optional[List[str]], sixteen_mixes: Optional[List[str]]):
+    """``(key, cores, mixes)`` of the two panels, in run order."""
+    return [
+        ("quad", 4, quad_mixes or mixes_for_cores(4)),
+        ("sixteen", 16, sixteen_mixes or mixes_for_cores(16)),
+    ]
+
+
+def specs(instructions=None, quad_mixes=None, sixteen_mixes=None, seed: int = 0):
+    return [
+        pair
+        for _, cores, mixes in _panels(quad_mixes, sixteen_mixes)
+        for pair in scheme_grid(machine(cores), mixes, SCHEMES, instructions, seed)
+    ]
+
+
+def summarise(results, quad_mixes=None, sixteen_mixes=None, **_) -> Dict:
+    results = iter(results)
+    summary = {"id": "fig7"}
+    for key, cores, mixes in _panels(quad_mixes, sixteen_mixes):
+        summary[key] = _panel(cores, by_mix(results, mixes, SCHEMES))
+    return summary
+
+
+def _panel(cores: int, grid) -> Dict:
     rows = []
-    for mix in mix_names:
-        base = results[mix]["tslru"].antt
+    for mix, per_scheme in grid.items():
+        base = per_scheme["tslru"].antt
         rows.append(
             {
                 "mix": mix,
-                "vantage": results[mix]["vantage"].antt / base,
-                "prism": results[mix]["prism-ucpx"].antt / base,
-                "vantage_forced": results[mix]["vantage"].forced_evictions or 0,
+                "vantage": per_scheme["vantage"].antt / base,
+                "prism": per_scheme["prism-ucpx"].antt / base,
+                "vantage_forced": per_scheme["vantage"].forced_evictions or 0,
             }
         )
     return {
@@ -55,22 +64,6 @@ def _panel(
             "vantage": geomean([r["vantage"] for r in rows]),
             "prism": geomean([r["prism"] for r in rows]),
         },
-        "results": results,
-    }
-
-
-@experiment_run
-def run(
-    instructions: Optional[int] = None,
-    quad_mixes: Optional[List[str]] = None,
-    sixteen_mixes: Optional[List[str]] = None,
-    seed: int = 0,
-    progress: Progress = None,
-) -> Dict:
-    return {
-        "id": "fig7",
-        "quad": _panel(4, instructions, quad_mixes, seed, progress),
-        "sixteen": _panel(16, instructions, sixteen_mixes, seed, progress),
     }
 
 

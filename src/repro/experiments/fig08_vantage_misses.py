@@ -9,36 +9,28 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.experiments.common import Progress, compare_schemes, format_table
+from repro.experiments.common import by_mix, format_table, scheme_grid
 from repro.experiments.configs import machine
-from repro.experiments.options import experiment_run
 from repro.workloads.mixes import mixes_for_cores
 
-__all__ = ["run", "format_result"]
+__all__ = ["specs", "summarise", "format_result"]
+
+SCHEMES = ["vantage", "prism-ucpx"]
 
 
-@experiment_run
-def run(
-    instructions: Optional[int] = None,
-    mixes: Optional[List[str]] = None,
-    seed: int = 0,
-    progress: Progress = None,
-) -> Dict:
-    config = machine(4)
-    mix_names = mixes or mixes_for_cores(4)
-    results = compare_schemes(
-        mix_names,
-        config,
-        ["vantage", "prism-ucpx"],
-        instructions=instructions,
-        seed=seed,
-        progress=progress,
+def specs(instructions=None, mixes: Optional[List[str]] = None, seed: int = 0):
+    return scheme_grid(
+        machine(4), mixes or mixes_for_cores(4), SCHEMES, instructions, seed
     )
+
+
+def summarise(results, mixes: Optional[List[str]] = None, **_) -> Dict:
+    grid = by_mix(iter(results), mixes or mixes_for_cores(4), SCHEMES)
     rows = []
     improved_counts = []
-    for mix in mix_names:
-        vantage = results[mix]["vantage"]
-        prism = results[mix]["prism-ucpx"]
+    for mix, per_scheme in grid.items():
+        vantage = per_scheme["vantage"]
+        prism = per_scheme["prism-ucpx"]
         improved = 0
         for core, name in enumerate(prism.benchmarks):
             v_misses = max(1, vantage.cores[core].misses)
@@ -53,7 +45,7 @@ def run(
         "id": "fig8",
         "rows": rows,
         "mixes_with_3plus_improved": sum(1 for c in improved_counts if c >= 3),
-        "total_mixes": len(mix_names),
+        "total_mixes": len(grid),
     }
 
 

@@ -10,43 +10,36 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.experiments.common import Progress, compare_schemes, format_table
+from repro.experiments.common import by_mix, format_table, scheme_grid
 from repro.experiments.configs import machine
-from repro.experiments.options import experiment_run
 from repro.metrics import geomean
 from repro.workloads.mixes import mixes_for_cores
 
-__all__ = ["run", "format_result"]
+__all__ = ["specs", "summarise", "format_result"]
+
+SCHEMES = ["lru", "fair-waypart", "prism-f"]
 
 
-@experiment_run
-def run(
-    instructions: Optional[int] = None,
-    mixes: Optional[List[str]] = None,
-    cores: int = 16,
-    seed: int = 0,
-    progress: Progress = None,
-) -> Dict:
-    config = machine(cores)
-    mix_names = mixes or mixes_for_cores(cores)
-    results = compare_schemes(
-        mix_names,
-        config,
-        ["lru", "fair-waypart", "prism-f"],
-        instructions=instructions,
-        seed=seed,
-        progress=progress,
+def specs(
+    instructions=None, mixes: Optional[List[str]] = None, cores: int = 16, seed: int = 0
+):
+    return scheme_grid(
+        machine(cores), mixes or mixes_for_cores(cores), SCHEMES, instructions, seed
     )
+
+
+def summarise(results, mixes: Optional[List[str]] = None, cores: int = 16, **_) -> Dict:
+    grid = by_mix(iter(results), mixes or mixes_for_cores(cores), SCHEMES)
     rows = []
-    for mix in mix_names:
+    for mix, per_scheme in grid.items():
         rows.append(
             {
                 "mix": mix,
-                "lru": results[mix]["lru"].fairness,
-                "waypart": results[mix]["fair-waypart"].fairness,
-                "prism_f": results[mix]["prism-f"].fairness,
-                "prism_f_antt_vs_lru": results[mix]["prism-f"].antt
-                / results[mix]["lru"].antt,
+                "lru": per_scheme["lru"].fairness,
+                "waypart": per_scheme["fair-waypart"].fairness,
+                "prism_f": per_scheme["prism-f"].fairness,
+                "prism_f_antt_vs_lru": per_scheme["prism-f"].antt
+                / per_scheme["lru"].antt,
             }
         )
     return {

@@ -11,41 +11,42 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.experiments.common import Progress, format_table
+from repro.experiments.common import by_mix, format_table, scheme_grid
 from repro.experiments.configs import machine
-from repro.experiments.options import experiment_run
-from repro.experiments.runner import run_workload
 from repro.workloads.mixes import mixes_for_cores
 
-__all__ = ["run", "format_result"]
+__all__ = ["specs", "summarise", "format_result"]
+
+SCHEMES = ["lru", "prism-q"]
 
 
-@experiment_run
-def run(
-    instructions: Optional[int] = None,
+def specs(
+    instructions=None,
+    mixes: Optional[List[str]] = None,
+    cores: int = 16,
+    target_fraction: float = 0.8,
+    tolerance: float = 0.05,  # read by summarise
+    seed: int = 0,
+):
+    return scheme_grid(
+        machine(cores), mixes or mixes_for_cores(cores), SCHEMES, instructions, seed,
+        scheme_kwargs={"prism-q": {"target_ipc_fraction": target_fraction}},
+    )
+
+
+def summarise(
+    results,
     mixes: Optional[List[str]] = None,
     cores: int = 16,
     target_fraction: float = 0.8,
     tolerance: float = 0.05,
-    seed: int = 0,
-    progress: Progress = None,
+    **_,
 ) -> Dict:
-    config = machine(cores)
-    mix_names = mixes or mixes_for_cores(cores)
+    grid = by_mix(iter(results), mixes or mixes_for_cores(cores), SCHEMES)
     rows = []
     achieved = 0
-    for mix in mix_names:
-        if progress:
-            progress(f"{mix} / prism-q")
-        lru = run_workload(mix, config, "lru", seed=seed, instructions=instructions)
-        result = run_workload(
-            mix,
-            config,
-            "prism-q",
-            seed=seed,
-            instructions=instructions,
-            scheme_kwargs={"target_ipc_fraction": target_fraction},
-        )
+    for mix, per_scheme in grid.items():
+        result = per_scheme["prism-q"]
         slowdown = result.slowdown(0)
         # "Achieved" = at or above target (a tolerance band below counts as
         # close-enough, mirroring the paper's 38-of-41 reading).
@@ -56,7 +57,7 @@ def run(
                 "mix": mix,
                 "benchmark": result.benchmarks[0],
                 "slowdown": slowdown,
-                "lru_slowdown": lru.slowdown(0),
+                "lru_slowdown": per_scheme["lru"].slowdown(0),
                 "target": target_fraction,
                 "achieved": ok,
             }

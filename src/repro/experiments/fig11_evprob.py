@@ -14,33 +14,26 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.experiments.common import Progress, format_table
+from repro.experiments.common import by_mix, format_table, scheme_grid
 from repro.experiments.configs import machine
-from repro.experiments.options import experiment_run
-from repro.experiments.runner import run_workload
 from repro.workloads.mixes import mixes_for_cores
 
-__all__ = ["run", "format_result"]
+__all__ = ["specs", "summarise", "format_result"]
 
 
-@experiment_run
-def run(
-    instructions: Optional[int] = None,
-    mixes: Optional[List[str]] = None,
-    seed: int = 0,
-    progress: Progress = None,
-) -> Dict:
-    config = machine(4)
-    mix_names = mixes or mixes_for_cores(4)
+def specs(instructions=None, mixes: Optional[List[str]] = None, seed: int = 0):
+    return scheme_grid(
+        machine(4), mixes or mixes_for_cores(4), ["prism-h"], instructions, seed,
+        telemetry=True,
+    )
+
+
+def summarise(results, mixes: Optional[List[str]] = None, **_) -> Dict:
+    grid = by_mix(iter(results), mixes or mixes_for_cores(4), ["prism-h"])
     rows = []
     recompute_counts = []
-    for mix in mix_names:
-        if progress:
-            progress(f"{mix} / prism-h")
-        result = run_workload(
-            mix, config, "prism-h", seed=seed, instructions=instructions,
-            telemetry=True,
-        )
+    for mix, per_scheme in grid.items():
+        result = per_scheme["prism-h"]
         trace = result.telemetry
         stats = trace.probability_stats()
         recompute_counts.append(trace.num_intervals)

@@ -9,44 +9,46 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.common import Progress, format_table
+from repro.experiments.common import format_table
 from repro.experiments.configs import machine
-from repro.experiments.options import experiment_run
-from repro.experiments.runner import run_workload
+from repro.experiments.parallel import RunSpec
 from repro.metrics import geomean
 from repro.workloads.mixes import mixes_for_cores
 
-__all__ = ["run", "format_result"]
+__all__ = ["specs", "summarise", "format_result"]
 
 
-@experiment_run
-def run(
-    instructions: Optional[int] = None,
+def specs(
+    instructions=None,
     mixes: Optional[List[str]] = None,
     bit_widths: Sequence[int] = (6, 8, 10, 12),
     seed: int = 0,
-    progress: Progress = None,
-) -> Dict:
+):
+    """Per mix: the float PriSM-H reference, then one run per bit width."""
     config = machine(4)
-    mix_names = mixes or mixes_for_cores(4)
+    return [
+        (config, RunSpec(
+            mix=mix, scheme="prism-h", seed=seed, instructions=instructions,
+            scheme_kwargs=scheme_kwargs,
+        ))
+        for mix in mixes or mixes_for_cores(4)
+        for scheme_kwargs in [None] + [{"probability_bits": b} for b in bit_widths]
+    ]
+
+
+def summarise(
+    results,
+    mixes: Optional[List[str]] = None,
+    bit_widths: Sequence[int] = (6, 8, 10, 12),
+    **_,
+) -> Dict:
+    results = iter(results)
     rows = []
-    for mix in mix_names:
-        if progress:
-            progress(f"{mix} / prism-h float")
-        reference = run_workload(mix, config, "prism-h", seed=seed, instructions=instructions)
+    for mix in mixes or mixes_for_cores(4):
+        reference = next(results)
         row = {"mix": mix}
         for bits in bit_widths:
-            if progress:
-                progress(f"{mix} / prism-h {bits}-bit")
-            quantised = run_workload(
-                mix,
-                config,
-                "prism-h",
-                seed=seed,
-                instructions=instructions,
-                scheme_kwargs={"probability_bits": bits},
-            )
-            row[f"bits{bits}"] = quantised.antt / reference.antt
+            row[f"bits{bits}"] = next(results).antt / reference.antt
         rows.append(row)
     summary = {
         f"bits{bits}": geomean([r[f"bits{bits}"] for r in rows]) for bits in bit_widths

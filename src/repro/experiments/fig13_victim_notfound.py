@@ -17,46 +17,52 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.common import Progress, format_table
+from repro.experiments.common import format_table
 from repro.experiments.configs import machine
-from repro.experiments.options import experiment_run
-from repro.experiments.runner import run_workload
+from repro.experiments.parallel import RunSpec
 from repro.workloads.mixes import mixes_for_cores
 
-__all__ = ["run", "format_result"]
+__all__ = ["specs", "summarise", "format_result"]
 
 
-@experiment_run
-def run(
-    instructions: Optional[int] = None,
+def _interval(multiplier: float) -> int:
+    return max(1, int(machine(4).geometry.num_blocks * multiplier))
+
+
+def specs(
+    instructions=None,
     mixes: Optional[List[str]] = None,
     interval_multipliers: Sequence[float] = (0.5, 1.0, 2.0),
     seed: int = 0,
-    progress: Progress = None,
-) -> Dict:
+):
+    """Per mix, one paper-literal PriSM-H run per interval length."""
     config = machine(4)
-    num_blocks = config.geometry.num_blocks
-    mix_names = mixes or mixes_for_cores(4)
+    return [
+        (config, RunSpec(
+            mix=mix, scheme="prism-h", seed=seed, instructions=instructions,
+            scheme_kwargs={
+                "interval_len": _interval(mult),
+                "fallback": "paper",
+                "bias_correction": False,
+            },
+        ))
+        for mix in mixes or mixes_for_cores(4)
+        for mult in interval_multipliers
+    ]
+
+
+def summarise(
+    results,
+    mixes: Optional[List[str]] = None,
+    interval_multipliers: Sequence[float] = (0.5, 1.0, 2.0),
+    **_,
+) -> Dict:
+    results = iter(results)
     rows = []
-    for mix in mix_names:
+    for mix in mixes or mixes_for_cores(4):
         row = {"mix": mix}
         for mult in interval_multipliers:
-            interval = max(1, int(num_blocks * mult))
-            if progress:
-                progress(f"{mix} / prism-h W={interval}")
-            result = run_workload(
-                mix,
-                config,
-                "prism-h",
-                seed=seed,
-                instructions=instructions,
-                scheme_kwargs={
-                    "interval_len": interval,
-                    "fallback": "paper",
-                    "bias_correction": False,
-                },
-            )
-            row[f"w{mult}"] = result.victim_not_found_rate
+            row[f"w{mult}"] = next(results).victim_not_found_rate
         rows.append(row)
     averages = {
         f"w{mult}": sum(r[f"w{mult}"] for r in rows) / len(rows)
@@ -64,7 +70,7 @@ def run(
     }
     return {
         "id": "fig13",
-        "num_blocks": num_blocks,
+        "num_blocks": machine(4).geometry.num_blocks,
         "interval_multipliers": list(interval_multipliers),
         "rows": rows,
         "average": averages,

@@ -13,6 +13,10 @@ Every row is certified by :func:`repro.check.belady.assert_belady_bound`
 — the run aborts with an ``InvariantViolation`` if any online policy
 appears to beat the offline optimum (which would mean the simulator is
 broken, not that the policy is clever).
+
+The experiment never calls ``run_workload``: it records and replays its
+own traces, so :func:`specs` declares no runs and :func:`summarise` does
+all the work (it ignores the empty ``results``).
 """
 
 from __future__ import annotations
@@ -23,15 +27,14 @@ from repro.cache.cache import SharedCache
 from repro.cache.replacement.lru import LRUPolicy
 from repro.check.belady import assert_belady_bound
 from repro.cpu.system import MultiCoreSystem
-from repro.experiments.common import Progress, format_table
+from repro.experiments.common import format_table
 from repro.experiments.configs import machine
-from repro.experiments.options import experiment_run
 from repro.experiments.runner import _machine_memory
 from repro.util.rng import derive_seed
 from repro.workloads.mixes import mixes_for_cores
 from repro.workloads.registry import resolve_workload
 
-__all__ = ["run", "format_result", "DEFAULT_SCHEMES"]
+__all__ = ["specs", "summarise", "format_result", "DEFAULT_SCHEMES"]
 
 #: Schemes replayed against the optimum by default: the unmanaged
 #: baselines (true LRU, the PLRU hardware approximation, DIP) and the
@@ -39,14 +42,19 @@ __all__ = ["run", "format_result", "DEFAULT_SCHEMES"]
 DEFAULT_SCHEMES = ["lru", "plru", "dip", "prism-h", "prism-f"]
 
 
-@experiment_run
-def run(
+def specs(**_budget):
+    """No shared runs: every trace is recorded by :func:`summarise`."""
+    return []
+
+
+def summarise(
+    results,
     instructions: Optional[int] = None,
     mixes: Optional[List[str]] = None,
     schemes: Optional[List[str]] = None,
     seed: int = 0,
-    progress: Progress = None,
 ) -> Dict:
+    """Record one trace per mix and replay every scheme plus Belady on it."""
     config = machine(4, l1="inclusive")
     mix_names = mixes or mixes_for_cores(4)
     scheme_names = schemes or list(DEFAULT_SCHEMES)
@@ -70,8 +78,6 @@ def run(
         system.run(budget)
         trace = system.recorded_trace
         traces[mix] = len(trace)
-        if progress:
-            progress(f"{mix}: recorded {len(trace)} LLC accesses, replaying")
         results = assert_belady_bound(
             trace,
             config.geometry,

@@ -16,30 +16,31 @@ part of the campaign fingerprint).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
-from repro.experiments.common import Progress, format_table
+from repro.experiments.common import format_table
 from repro.experiments.configs import machine
-from repro.experiments.options import experiment_run
-from repro.experiments.parallel import RunSpec, run_specs
+from repro.experiments.parallel import RunSpec
 from repro.workloads.registry import resolve_workload
 
-__all__ = ["run", "format_result", "DEFAULT_SCHEMES"]
+__all__ = ["specs", "summarise", "format_result", "DEFAULT_SCHEMES"]
 
 #: The scheme panel the scenario compares by default.
 DEFAULT_SCHEMES = ("lru", "cliff", "prism-h", "prism-f", "prism-q")
 
 
-@experiment_run
-def run(
-    instructions: Optional[int] = None,
+def _ref(workload: str) -> str:
+    return workload if ":" in workload else f"tenants:{workload}"
+
+
+def specs(
+    instructions=None,
     workload: str = "web8",
     schemes: Sequence[str] = DEFAULT_SCHEMES,
     scale_factor: int = 64,
     seed: int = 0,
-    progress: Progress = None,
-) -> Dict:
-    """Run the tenant scenario; returns a dict of per-tenant SLO rows.
+):
+    """One run of the tenant workload per scheme.
 
     Args:
         instructions: total shared request budget (``None`` = the
@@ -50,23 +51,21 @@ def run(
         scale_factor: cache scaling divisor (as everywhere else).
         seed: top-level trace/scheme seed.
     """
-    ref = workload if ":" in workload else f"tenants:{workload}"
-    source = resolve_workload(ref)
-    config = machine(source.num_cores, scale_factor=scale_factor)
-    schemes = list(schemes)
-    specs = [
-        RunSpec(
-            mix=ref,
-            scheme=scheme,
-            seed=seed,
-            instructions=instructions,
-        )
+    ref = _ref(workload)
+    config = machine(resolve_workload(ref).num_cores, scale_factor=scale_factor)
+    return [
+        (config, RunSpec(mix=ref, scheme=scheme, seed=seed, instructions=instructions))
         for scheme in schemes
     ]
-    if progress:
-        progress(f"{ref}: {len(specs)} runs under {', '.join(schemes)}")
-    results = run_specs(specs, config, progress=progress)
 
+
+def summarise(
+    results, workload: str = "web8", schemes: Sequence[str] = DEFAULT_SCHEMES, **_
+) -> Dict:
+    """The per-tenant SLO rows and the per-scheme summary."""
+    ref = _ref(workload)
+    source = resolve_workload(ref)
+    schemes = list(schemes)
     rows = []
     summary = []
     for scheme, result in zip(schemes, results):

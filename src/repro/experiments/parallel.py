@@ -3,8 +3,9 @@
 The simulator is single-threaded pure Python, but every figure in the
 paper's evaluation is an *embarrassingly parallel* grid of independent
 ``run_workload`` calls — mixes × schemes (× seeds for the noise sweeps).
-This module executes such grids over a ``multiprocessing`` pool while
-keeping the results **bit-identical to a serial run**:
+This module executes such grids — each distinct run once, however often
+the grid lists it — over a ``multiprocessing`` pool while keeping the
+results **bit-identical to a serial run**:
 
 - Every run's randomness derives from the spec itself:
   :func:`~repro.experiments.runner.run_workload` seeds its streams with
@@ -23,10 +24,7 @@ once per (profile, geometry, policy) per worker.
 ``jobs`` semantics (shared by every entry point that accepts ``jobs=``):
 
 - ``None`` — consult the ``REPRO_JOBS`` environment variable (the CLI's
-  ``--jobs`` flag and ``examples/reproduce_paper.py --jobs`` set it, which
-  is how the figure experiments deep inside the registry pick the value
-  up without threading a parameter through every signature); unset or
-  invalid means serial.
+  ``--jobs`` flag also sets it); unset or invalid means serial.
 - ``<= 0`` — use ``os.cpu_count()``.
 - ``1`` — run serially in-process (no pool, no pickling).
 """
@@ -37,7 +35,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.configs import MachineConfig
 from repro.experiments.options import JOBS_ENV, STORE_ENV
@@ -48,7 +46,6 @@ __all__ = [
     "SpecRunError",
     "resolve_jobs",
     "run_specs",
-    "parallel_compare_schemes",
 ]
 
 @dataclass(frozen=True)
@@ -206,23 +203,23 @@ def _resolve_store(store):
 
 
 def _execute_specs(
-    specs: Sequence[RunSpec],
+    items: Sequence[Tuple[int, RunSpec]],
     config: MachineConfig,
-    jobs: Optional[int] = None,
-    progress=None,
-    on_result: Optional[Callable[[int, WorkloadResult, float], None]] = None,
-) -> List[WorkloadResult]:
-    """The execution core of :func:`run_specs` (no store layer).
+    jobs: Optional[int],
+    progress,
+    on_result: Callable[[int, WorkloadResult, float], None],
+) -> None:
+    """Run each ``(index, spec)`` of ``items``, serially or on a pool.
 
     ``on_result(index, result, wall_seconds)`` fires in the driver as each
-    run completes — the store layer uses it to persist incrementally, so
-    an interrupted grid keeps everything that finished.
+    run completes — the caller collects results through it, and the store
+    layer persists incrementally, so an interrupted grid keeps everything
+    that finished. A failure raises :class:`SpecRunError` naming the
+    spec's ``index``.
     """
-    specs = list(specs)
     jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(specs) <= 1:
-        results = []
-        for index, spec in enumerate(specs):
+    if jobs <= 1 or len(items) <= 1:
+        for index, spec in items:
             if progress:
                 progress(spec.describe())
             start = time.perf_counter()
@@ -232,23 +229,21 @@ def _execute_specs(
                 raise SpecRunError(
                     spec, index, type(exc).__name__, str(exc)
                 ) from exc
-            if on_result:
-                on_result(index, result, time.perf_counter() - start)
-            results.append(result)
-        return results
+            on_result(index, result, time.perf_counter() - start)
+        return
 
-    results: List[Optional[WorkloadResult]] = [None] * len(specs)
+    specs = dict(items)
     done = 0
     ctx = _pool_context()
     with ctx.Pool(
-        processes=min(jobs, len(specs)),
+        processes=min(jobs, len(items)),
         initializer=_init_worker,
         initargs=(config,),
     ) as pool:
-        # Unordered completion for throughput; the index restores spec
-        # order so parallel output is indistinguishable from serial.
+        # Unordered completion for throughput; the caller places each
+        # result by its index, so parallel output matches serial.
         for index, result, error, elapsed in pool.imap_unordered(
-            _run_indexed_spec, list(enumerate(specs))
+            _run_indexed_spec, items
         ):
             if error is not None:
                 error_type, message, worker_tb = error
@@ -256,49 +251,10 @@ def _execute_specs(
                     specs[index], index, error_type, message,
                     worker_traceback=worker_tb,
                 )
-            results[index] = result
-            if on_result:
-                on_result(index, result, elapsed)
+            on_result(index, result, elapsed)
             done += 1
             if progress:
-                progress(f"[{done}/{len(specs)}] {specs[index].describe()}")
-    return results  # type: ignore[return-value]
-
-
-def _run_specs_stored(
-    specs: Sequence[RunSpec],
-    config: MachineConfig,
-    store,
-    jobs: Optional[int] = None,
-    progress=None,
-) -> List[WorkloadResult]:
-    """Store-backed :func:`run_specs`: skip cached fingerprints, persist new.
-
-    Pure caching layer — failures still raise :class:`SpecRunError` (the
-    fault-*tolerant* contract lives in :mod:`repro.campaign.runner`).
-    """
-    from repro.campaign.runner import partition_specs
-
-    fingerprints, cached, pending = partition_specs(store, specs, config)
-    pending_fps = list(pending)
-    pending_specs = list(pending.values())
-    if progress and len(pending_specs) < len(specs):
-        progress(
-            f"store: {len(specs) - len(pending_specs)}/{len(specs)} cached "
-            f"({store.root})"
-        )
-
-    def persist(index: int, result: WorkloadResult, wall_seconds: float) -> None:
-        store.add_result(
-            pending_fps[index], pending_specs[index], result,
-            wall_seconds=wall_seconds,
-        )
-
-    executed = _execute_specs(
-        pending_specs, config, jobs=jobs, progress=progress, on_result=persist
-    )
-    cached.update(zip(pending_fps, executed))
-    return [cached[fp] for fp in fingerprints]
+                progress(f"[{done}/{len(items)}] {specs[index].describe()}")
 
 
 def run_specs(
@@ -309,6 +265,11 @@ def run_specs(
     store=None,
 ) -> List[WorkloadResult]:
     """Execute every spec and return results in spec order.
+
+    Specs are deduplicated by campaign fingerprint first
+    (:func:`repro.campaign.runner.partition_specs`): each distinct run
+    simulates once and every duplicate gets its result, and a telemetry
+    request serves its plain twin.
 
     Args:
         specs: the runs to execute (see :class:`RunSpec`).
@@ -330,45 +291,26 @@ def run_specs(
         SpecRunError: a run raised; the error names the failing spec and
             chains/embeds the worker's original traceback.
     """
+    from repro.campaign.runner import partition_specs
+
     specs = list(specs)
     store = _resolve_store(store)
-    if store is not None:
-        return _run_specs_stored(specs, config, store, jobs=jobs, progress=progress)
-    return _execute_specs(specs, config, jobs=jobs, progress=progress)
+    fingerprints, served, pending = partition_specs(store, specs, config)
+    if progress and store is not None:
+        unique = len(served) + len(pending)
+        progress(f"store: {len(served)}/{unique} cached ({store.root})")
+    # Each pending run is named by the index of its fingerprint's first
+    # spec, so a failure points into the caller's list.
+    first = {}
+    for index, fp in enumerate(fingerprints):
+        first.setdefault(fp, index)
+    items = [(first[fp], spec) for fp, spec in pending.items()]
 
+    def collect(index: int, result: WorkloadResult, wall_seconds: float) -> None:
+        fp = fingerprints[index]
+        served[fp] = result
+        if store is not None:
+            store.add_result(fp, pending[fp], result, wall_seconds=wall_seconds)
 
-def parallel_compare_schemes(
-    mixes: Sequence[str],
-    config: MachineConfig,
-    schemes: Sequence[str],
-    instructions: Optional[int] = None,
-    seed: int = 0,
-    scheme_kwargs: Optional[Dict[str, dict]] = None,
-    progress=None,
-    jobs: Optional[int] = None,
-    telemetry: bool = False,
-) -> Dict[str, Dict[str, WorkloadResult]]:
-    """The (mixes × schemes) grid behind every figure, executed by the pool.
-
-    Same signature and return shape as
-    :func:`repro.experiments.common.compare_schemes` (which delegates here
-    when ``jobs`` resolves above 1): ``results[mix][scheme]``.
-    """
-    scheme_kwargs = scheme_kwargs or {}
-    specs = [
-        RunSpec(
-            mix=mix,
-            scheme=scheme,
-            seed=seed,
-            instructions=instructions,
-            scheme_kwargs=scheme_kwargs.get(scheme),
-            telemetry=telemetry,
-        )
-        for mix in mixes
-        for scheme in schemes
-    ]
-    flat = run_specs(specs, config, jobs=jobs, progress=progress)
-    results: Dict[str, Dict[str, WorkloadResult]] = {mix: {} for mix in mixes}
-    for spec, result in zip(specs, flat):
-        results[spec.mix][spec.scheme] = result
-    return results
+    _execute_specs(items, config, jobs=jobs, progress=progress, on_result=collect)
+    return [served[fp] for fp in fingerprints]

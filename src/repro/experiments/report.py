@@ -3,7 +3,9 @@
 Runs the experiment registry at a chosen budget and writes a single
 markdown file pairing each figure's paper claims
 (:mod:`repro.experiments.paper_values`) with the freshly measured tables —
-the artifact to attach to a reproduction review.
+the artifact to attach to a reproduction review. The selected figures'
+runs are pooled first (:func:`~repro.experiments.registry.run_experiments`),
+so a run that several figures share simulates once.
 
 Usage (module CLI)::
 
@@ -18,11 +20,10 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.experiments.options import RunOptions
 from repro.experiments.paper_values import claims_for
-from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.registry import EXPERIMENTS, run_experiments
 
-__all__ = ["BUDGETS", "generate_report", "main"]
+__all__ = ["BUDGETS", "generate_report", "render_report", "main"]
 
 #: Per-budget kwargs for each experiment (instructions + mix subsets).
 BUDGETS: Dict[str, Dict[str, dict]] = {
@@ -75,22 +76,23 @@ BUDGETS: Dict[str, Dict[str, dict]] = {
 }
 
 
-def generate_report(
-    output: Path,
+def render_report(
     budget: str = "quick",
     only: Optional[List[str]] = None,
     progress=None,
-) -> Path:
-    """Run experiments and write the markdown report.
+    jobs: Optional[int] = None,
+    store=None,
+) -> str:
+    """Run the selected experiments and return the markdown report.
 
     Args:
-        output: destination path.
         budget: ``micro`` (seconds), ``quick`` (minutes) or ``full`` (hours).
         only: subset of experiment ids (default: the whole registry).
         progress: optional ``callable(str)`` for live status lines.
-
-    Returns:
-        The written path.
+        jobs: worker processes for the pooled runs (see
+            :func:`~repro.experiments.parallel.run_specs`).
+        store: result-store directory; runs it holds are not simulated
+            again, new runs persist into it.
     """
     if budget not in BUDGETS:
         raise ValueError(f"unknown budget {budget!r}; known: {sorted(BUDGETS)}")
@@ -99,38 +101,50 @@ def generate_report(
     if unknown:
         raise KeyError(f"unknown experiments: {unknown}")
 
+    plan = [(EXPERIMENTS[i], BUDGETS[budget].get(i, {})) for i in ids]
+    if progress:
+        progress(f"running {', '.join(ids)}")
+    start = time.time()
+    summaries = run_experiments(plan, jobs=jobs, store=store, progress=progress)
+    elapsed = time.time() - start
+
     sections = [
         "# PriSM reproduction report",
         "",
         f"Budget: `{budget}`. Generated by `python -m repro.experiments.report`.",
         "Paper claims are quoted above each regenerated table; see",
         "EXPERIMENTS.md for the fidelity discussion.",
+        f"*(all figures: {elapsed:.0f}s)*",
         "",
     ]
-    for experiment_id in ids:
-        experiment = EXPERIMENTS[experiment_id]
-        kwargs = dict(BUDGETS[budget].get(experiment_id, {}))
-        options = RunOptions(
-            instructions=kwargs.pop("instructions", None), progress=progress
-        )
-        if progress:
-            progress(f"running {experiment_id} ({experiment.title})")
-        start = time.time()
-        result = experiment.run(options=options, **kwargs)
-        elapsed = time.time() - start
-        sections.append(f"## {experiment_id}: {experiment.title}")
+    for (experiment, _), summary in zip(plan, summaries):
+        sections.append(f"## {experiment.id}: {experiment.title}")
         sections.append("")
-        for claim in claims_for(experiment_id):
+        for claim in claims_for(experiment.id):
             sections.append(f"> **Paper:** {claim.text}")
         sections.append("")
         sections.append("```")
-        sections.append(experiment.format(result))
+        sections.append(experiment.format(summary))
         sections.append("```")
-        sections.append(f"*({elapsed:.0f}s)*")
         sections.append("")
+    return "\n".join(sections)
 
+
+def generate_report(
+    output: Path,
+    budget: str = "quick",
+    only: Optional[List[str]] = None,
+    progress=None,
+    jobs: Optional[int] = None,
+    store=None,
+) -> Path:
+    """Write :func:`render_report` (same arguments) to ``output``.
+
+    Returns:
+        The written path.
+    """
     output = Path(output)
-    output.write_text("\n".join(sections))
+    output.write_text(render_report(budget, only, progress, jobs=jobs, store=store))
     return output
 
 

@@ -11,41 +11,33 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.experiments.common import Progress, compare_schemes, format_table
+from repro.experiments.common import by_mix, format_table, scheme_grid
 from repro.experiments.configs import machine
-from repro.experiments.options import experiment_run
 from repro.metrics import geomean
 from repro.workloads.mixes import mixes_for_cores
 
-__all__ = ["run", "format_result"]
+__all__ = ["specs", "summarise", "format_result"]
+
+SCHEMES = ["dip", "prism-h-dip", "tadip", "lru"]
 
 
-@experiment_run
-def run(
-    instructions: Optional[int] = None,
-    mixes: Optional[List[str]] = None,
-    seed: int = 0,
-    progress: Progress = None,
-) -> Dict:
-    config = machine(4)
-    mix_names = mixes or mixes_for_cores(4)
-    results = compare_schemes(
-        mix_names,
-        config,
-        ["dip", "prism-h-dip", "tadip", "lru"],
-        instructions=instructions,
-        seed=seed,
-        progress=progress,
+def specs(instructions=None, mixes: Optional[List[str]] = None, seed: int = 0):
+    return scheme_grid(
+        machine(4), mixes or mixes_for_cores(4), SCHEMES, instructions, seed
     )
+
+
+def summarise(results, mixes: Optional[List[str]] = None, **_) -> Dict:
+    grid = by_mix(iter(results), mixes or mixes_for_cores(4), SCHEMES)
     rows = []
-    for mix in mix_names:
-        dip_antt = results[mix]["dip"].antt
+    for mix, per_scheme in grid.items():
+        dip_antt = per_scheme["dip"].antt
         rows.append(
             {
                 "mix": mix,
-                "prism_h_dip": results[mix]["prism-h-dip"].antt / dip_antt,
-                "tadip": results[mix]["tadip"].antt / dip_antt,
-                "lru": results[mix]["lru"].antt / dip_antt,
+                "prism_h_dip": per_scheme["prism-h-dip"].antt / dip_antt,
+                "tadip": per_scheme["tadip"].antt / dip_antt,
+                "lru": per_scheme["lru"].antt / dip_antt,
             }
         )
     return {

@@ -3,12 +3,13 @@
 
 import json
 import multiprocessing
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 
 import pytest
 
 import repro.experiments.parallel as parallel_module
 from repro.campaign import Campaign, CampaignRunner, spec_fingerprint
+from repro.campaign.runner import partition_specs
 from repro.campaign.store import (
     machine_to_dict,
     result_from_dict,
@@ -146,3 +147,12 @@ class TestPartition:
         run = CampaignRunner(tmp_path / "s", config, jobs=1).run([plain, traced])
         assert run.executed == 1
         assert all(result.telemetry is not None for result in run.results)
+
+    def test_duplicates_merge_the_unfingerprinted_flags(self):
+        """Without a store too: one run per fingerprint, asking for every
+        trace and invariant audit any duplicate asks for."""
+        plain = RunSpec(mix="Q1", scheme="prism-h")
+        specs = [plain, replace(plain, check=True), replace(plain, telemetry=True)]
+        fingerprints, cached, pending = partition_specs(None, specs, machine(4))
+        assert len(set(fingerprints)) == 1 and cached == {}
+        assert list(pending.values()) == [replace(plain, telemetry=True, check=True)]

@@ -61,4 +61,4 @@ class TestCompareSchemes:
         config = machine(4, instructions=5_000)
         seen = []
         compare_schemes(["Q1"], config, ["lru"], progress=seen.append)
-        assert seen == ["Q1 / lru"]
+        assert seen == ["Q1 / lru / seed 0"]

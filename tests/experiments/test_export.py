@@ -42,10 +42,10 @@ class TestWrite:
             rows_to_csv([], tmp_path / "t.csv")
 
     def test_export_csv_end_to_end(self, tmp_path):
-        from repro.experiments import fig13_victim_notfound
         from repro.experiments.options import RunOptions
+        from repro.experiments.registry import get_experiment
 
-        result = fig13_victim_notfound.run(
+        result = get_experiment("fig13").run(
             options=RunOptions(instructions=15_000),
             mixes=["Q1"], interval_multipliers=(1.0,),
         )

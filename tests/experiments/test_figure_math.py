@@ -1,8 +1,8 @@
 """Deterministic unit tests for the figure modules' aggregation math.
 
 The smoke tests run the real simulator; these instead feed canned
-WorkloadResults through the figure code so normalisation, geomeans and
-achievement counting are checked exactly.
+WorkloadResults through each figure's ``summarise`` so normalisation,
+geomeans and achievement counting are checked exactly.
 """
 
 import pytest
@@ -39,6 +39,21 @@ def fake_telemetry(benchmarks, occupancy):
     return trace
 
 
+def summarise_with(module, fake_run, **kwargs):
+    """``module``'s summary with ``fake_run(mix, config, scheme,
+    scheme_kwargs=...)`` standing in for every run its ``specs`` declare."""
+    results = [
+        fake_run(spec.mix, config, spec.scheme, scheme_kwargs=spec.scheme_kwargs)
+        for config, spec in module.specs(**kwargs)
+    ]
+    return module.summarise(results, **kwargs)
+
+
+def from_canned(canned):
+    """A fake run answering from ``canned[mix][scheme]``."""
+    return lambda mix, config, scheme, **kwargs: canned[mix][scheme]
+
+
 def fake_result(mix, scheme, antt, benchmarks=None, slowdown0=0.8, misses=100):
     benchmarks = benchmarks or ["a", "b", "c", "d"]
     cores = [
@@ -71,7 +86,7 @@ def fake_result(mix, scheme, antt, benchmarks=None, slowdown0=0.8, misses=100):
 
 
 class TestFig3Math(object):
-    def test_normalisation_and_geomean(self, monkeypatch):
+    def test_normalisation_and_geomean(self):
         canned = {
             "Q1": {"lru": fake_result("Q1", "lru", 2.0),
                    "prism-h": fake_result("Q1", "prism-h", 1.0),
@@ -82,10 +97,11 @@ class TestFig3Math(object):
                    "ucp": fake_result("Q2", "ucp", 3.0),
                    "pipp": fake_result("Q2", "pipp", 4.0)},
         }
-        monkeypatch.setattr(
-            fig03_percore, "compare_schemes", lambda mixes, *a, **k: canned
+        result = summarise_with(
+            fig03_percore, from_canned(canned), quad_mixes=["Q1", "Q2"],
+            big_mixes=["Q2"],
         )
-        panel = fig03_percore._panel(4, None, ["Q1", "Q2"], 0, None)
+        panel = result["quad"]
         assert panel["rows"][0]["prism_h"] == pytest.approx(0.5)
         assert panel["rows"][0]["ucp"] == pytest.approx(0.75)
         assert panel["geomean"]["prism_h"] == pytest.approx(0.5)
@@ -93,55 +109,49 @@ class TestFig3Math(object):
 
 
 class TestFig5Math:
-    def test_rows_and_geomean(self, monkeypatch):
+    def test_rows_and_geomean(self):
         canned = {
             "S1": {"lru": fake_result("S1", "lru", 2.0),
                    "prism-h": fake_result("S1", "prism-h", 1.6),
                    "waypart-hitmax": fake_result("S1", "waypart-hitmax", 1.8)},
         }
-        monkeypatch.setattr(
-            fig05_vs_waypart, "compare_schemes", lambda *a, **k: canned
-        )
-        result = fig05_vs_waypart.run(mixes=["S1"])
+        result = summarise_with(fig05_vs_waypart, from_canned(canned), mixes=["S1"])
         assert result["rows"][0]["prism"] == pytest.approx(0.8)
         assert result["rows"][0]["waypart"] == pytest.approx(0.9)
         assert result["geomean"]["prism"] == pytest.approx(0.8)
 
 
 class TestFig10Math:
-    def test_achievement_counting(self, monkeypatch):
+    def test_achievement_counting(self):
         def fake_run(mix, config, scheme, **kwargs):
             slowdowns = {"S1": 0.82, "S2": 0.70, "S3": 0.40}
             if scheme == "lru":
                 return fake_result(mix, "lru", 2.0, slowdown0=0.3)
             return fake_result(mix, scheme, 1.5, slowdown0=slowdowns[mix])
 
-        monkeypatch.setattr(fig10_qos, "run_workload", fake_run)
-        result = fig10_qos.run(mixes=["S1", "S2", "S3"], target_fraction=0.8,
-                               tolerance=0.15)
+        result = summarise_with(fig10_qos, fake_run, mixes=["S1", "S2", "S3"],
+                                target_fraction=0.8, tolerance=0.15)
         # 0.82 >= 0.8; 0.70 >= 0.8*0.85=0.68; 0.40 < 0.68.
         assert result["achieved"] == 2
         assert [r["achieved"] for r in result["rows"]] == [True, True, False]
         assert all(r["lru_slowdown"] == pytest.approx(0.3) for r in result["rows"])
 
-    def test_format_marks_misses(self, monkeypatch):
+    def test_format_marks_misses(self):
         def fake_run(mix, config, scheme, **kwargs):
             return fake_result(mix, scheme, 1.5, slowdown0=0.4)
 
-        monkeypatch.setattr(fig10_qos, "run_workload", fake_run)
-        result = fig10_qos.run(mixes=["S1"], target_fraction=0.8)
+        result = summarise_with(fig10_qos, fake_run, mixes=["S1"], target_fraction=0.8)
         text = fig10_qos.format_result(result)
         assert "NO" in text
 
 
 class TestFig4Math:
-    def test_occupancy_rows(self, monkeypatch):
+    def test_occupancy_rows(self):
         canned = {
             "Q1": {"prism-h": fake_result("Q1", "prism-h", 1.0),
                    "ucp": fake_result("Q1", "ucp", 1.2)},
         }
-        monkeypatch.setattr(fig04_occupancy, "compare_schemes", lambda *a, **k: canned)
-        result = fig04_occupancy.run(mixes=["Q1"])
+        result = summarise_with(fig04_occupancy, from_canned(canned), mixes=["Q1"])
         assert len(result["rows"]) == 4
         assert result["rows"][0]["prism_occupancy"] == pytest.approx(0.25)
         text = fig04_occupancy.format_result(result)
@@ -149,37 +159,40 @@ class TestFig4Math:
 
 
 class TestFig6Math:
-    def test_single_ratio_column(self, monkeypatch):
+    def test_single_ratio_column(self):
         canned = {
             "S1": {"lru": fake_result("S1", "lru", 3.0),
                    "prism-h": fake_result("S1", "prism-h", 2.4)},
             "S2": {"lru": fake_result("S2", "lru", 2.0),
                    "prism-h": fake_result("S2", "prism-h", 1.9)},
         }
-        monkeypatch.setattr(fig06_cores_eq_ways, "compare_schemes",
-                            lambda *a, **k: canned)
-        result = fig06_cores_eq_ways.run(mixes=["S1", "S2"])
+        result = summarise_with(
+            fig06_cores_eq_ways, from_canned(canned), mixes=["S1", "S2"]
+        )
         assert result["rows"][0]["prism_vs_lru"] == pytest.approx(0.8)
         assert result["geomean"] == pytest.approx(geomean([0.8, 0.95]))
         assert "16way" in result["geometry"]
 
 
 class TestFig7Math:
-    def test_timestamp_lru_normalisation(self, monkeypatch):
+    def test_timestamp_lru_normalisation(self):
         canned = {
             "Q1": {"tslru": fake_result("Q1", "tslru", 2.0),
                    "vantage": fake_result("Q1", "vantage", 1.8),
                    "prism-ucpx": fake_result("Q1", "prism-ucpx", 1.6)},
         }
-        monkeypatch.setattr(fig07_vantage, "compare_schemes", lambda *a, **k: canned)
-        panel = fig07_vantage._panel(4, None, ["Q1"], 0, None)
+        result = summarise_with(
+            fig07_vantage, from_canned(canned), quad_mixes=["Q1"],
+            sixteen_mixes=["Q1"],
+        )
+        panel = result["quad"]
         assert panel["rows"][0]["vantage"] == pytest.approx(0.9)
         assert panel["rows"][0]["prism"] == pytest.approx(0.8)
         assert panel["geomean"]["prism"] == pytest.approx(0.8)
 
 
 class TestFig11Math:
-    def test_stats_flattened_per_benchmark(self, monkeypatch):
+    def test_stats_flattened_per_benchmark(self):
         def fake_run(mix, config, scheme, **kwargs):
             r = fake_result(mix, scheme, 1.0)
             # 40 intervals with constant E_i = 0.1*(core+1): the figure's
@@ -200,15 +213,14 @@ class TestFig11Math:
                 **{**r.__dict__, "intervals": 40, "telemetry": trace}
             )
 
-        monkeypatch.setattr(fig11_evprob, "run_workload", fake_run)
-        result = fig11_evprob.run(mixes=["Q1", "Q2"])
+        result = summarise_with(fig11_evprob, fake_run, mixes=["Q1", "Q2"])
         assert len(result["rows"]) == 8
         assert result["rows"][1]["mean"] == pytest.approx(0.2)
         assert result["recomputations_min"] == result["recomputations_max"] == 40
 
 
 class TestFig8Math:
-    def test_majority_counting(self, monkeypatch):
+    def test_majority_counting(self):
         def result_with_misses(mix, scheme, misses_by_core):
             r = fake_result(mix, scheme, 1.0)
             for core, misses in enumerate(misses_by_core):
@@ -224,10 +236,9 @@ class TestFig8Math:
             "Q2": {"vantage": result_with_misses("Q2", "vantage", [100, 100, 100, 100]),
                    "prism-ucpx": result_with_misses("Q2", "prism-ucpx", [50, 150, 150, 150])},
         }
-        monkeypatch.setattr(
-            fig08_vantage_misses, "compare_schemes", lambda *a, **k: canned
+        result = summarise_with(
+            fig08_vantage_misses, from_canned(canned), mixes=["Q1", "Q2"]
         )
-        result = fig08_vantage_misses.run(mixes=["Q1", "Q2"])
         assert result["mixes_with_3plus_improved"] == 1
         ratios = {(r["mix"], r["core"]): r["miss_ratio"] for r in result["rows"]}
         assert ratios[("Q1", 0)] == pytest.approx(0.5)
@@ -235,7 +246,7 @@ class TestFig8Math:
 
 
 class TestFig9Math:
-    def test_fairness_rows_and_geomean(self, monkeypatch):
+    def test_fairness_rows_and_geomean(self):
         def result_with_fairness(mix, scheme, fairness, antt):
             r = fake_result(mix, scheme, antt)
             return WorkloadResult(**{**r.__dict__, "fairness": fairness})
@@ -248,8 +259,7 @@ class TestFig9Math:
                    "fair-waypart": result_with_fairness("S2", "fair-waypart", 0.44, 1.9),
                    "prism-f": result_with_fairness("S2", "prism-f", 0.50, 1.6)},
         }
-        monkeypatch.setattr(fig09_fairness, "compare_schemes", lambda *a, **k: canned)
-        result = fig09_fairness.run(mixes=["S1", "S2"])
+        result = summarise_with(fig09_fairness, from_canned(canned), mixes=["S1", "S2"])
         g = result["geomean"]
         assert g["lru"] == pytest.approx(geomean([0.30, 0.40]))
         assert g["prism_f"] == pytest.approx(geomean([0.45, 0.50]))
@@ -257,7 +267,7 @@ class TestFig9Math:
 
 
 class TestFig13Math:
-    def test_interval_sweep_and_averages(self, monkeypatch):
+    def test_interval_sweep_and_averages(self):
         def fake_run(mix, config, scheme, **kwargs):
             interval = kwargs["scheme_kwargs"]["interval_len"]
             # Not-found rate inversely related to interval in this fake.
@@ -265,9 +275,9 @@ class TestFig13Math:
             r.victim_not_found_rate = 100.0 / interval
             return r
 
-        monkeypatch.setattr(fig13_victim_notfound, "run_workload", fake_run)
-        result = fig13_victim_notfound.run(
-            mixes=["Q1", "Q2"], interval_multipliers=(0.5, 1.0)
+        result = summarise_with(
+            fig13_victim_notfound, fake_run,
+            mixes=["Q1", "Q2"], interval_multipliers=(0.5, 1.0),
         )
         n = result["num_blocks"]
         assert result["average"]["w0.5"] == pytest.approx(100.0 / (n // 2))
@@ -276,14 +286,13 @@ class TestFig13Math:
 
 
 class TestFig12Math:
-    def test_ratio_against_float_reference(self, monkeypatch):
+    def test_ratio_against_float_reference(self):
         def fake_run(mix, config, scheme, **kwargs):
             bits = (kwargs.get("scheme_kwargs") or {}).get("probability_bits")
             antt = {None: 2.0, 6: 2.2, 8: 2.0}[bits]
             return fake_result(mix, scheme, antt)
 
-        monkeypatch.setattr(fig12_kbit, "run_workload", fake_run)
-        result = fig12_kbit.run(mixes=["Q1"], bit_widths=(6, 8))
+        result = summarise_with(fig12_kbit, fake_run, mixes=["Q1"], bit_widths=(6, 8))
         assert result["rows"][0]["bits6"] == pytest.approx(1.1)
         assert result["rows"][0]["bits8"] == pytest.approx(1.0)
         assert result["geomean"]["bits6"] == pytest.approx(1.1)

@@ -3,34 +3,19 @@
 import pytest
 
 from repro.experiments import fig01_motivation, fig02_summary
-from repro.metrics import geomean
-from tests.experiments.test_figure_math import fake_result
-
-
-def canned_for(schemes, antts_by_mix):
-    """results[mix][scheme] with the given per-mix base ANTT scaled per scheme."""
-    out = {}
-    for mix, base in antts_by_mix.items():
-        out[mix] = {
-            scheme: fake_result(mix, scheme, base * factor)
-            for scheme, factor in schemes.items()
-        }
-    return out
+from tests.experiments.test_figure_math import fake_result, summarise_with
 
 
 class TestFig1aMath:
-    def test_scalability_rows(self, monkeypatch):
+    def test_scalability_rows(self):
         factors_by_cores = {4: 0.8, 8: 0.9, 16: 0.95, 32: 1.0}
-        calls = {"i": 0}
 
-        def fake_compare(mixes, config, schemes, **kwargs):
-            factor = factors_by_cores[config.num_cores]
-            scheme_factors = {s: (factor if s != "lru" else 1.0) for s in schemes}
-            return canned_for(scheme_factors, {m: 2.0 for m in mixes})
+        def fake_run(mix, config, scheme, **kwargs):
+            factor = factors_by_cores[config.num_cores] if scheme != "lru" else 1.0
+            return fake_result(mix, scheme, 2.0 * factor)
 
-        monkeypatch.setattr(fig01_motivation, "compare_schemes", fake_compare)
-        result = fig01_motivation.run_scalability(mixes_per_count=2)
-        rows = result["rows"]
+        result = summarise_with(fig01_motivation, fake_run, mixes_per_count=2)
+        rows = result["scalability"]["rows"]
         assert [r["cores"] for r in rows] == [4, 8, 16, 32]
         # The degradation trend appears exactly as injected.
         assert rows[0]["ucp_antt_vs_lru"] == pytest.approx(0.8)
@@ -41,26 +26,19 @@ class TestFig1aMath:
 
 
 class TestFig1bMath:
-    def test_fine_grain_panel(self, monkeypatch):
+    def test_fine_grain_panel(self):
         # Throughput rises with associativity for UCP only.
-        throughput_by_assoc = {16: 3.0, 64: 3.2, 256: 3.3}
+        throughput_by_assoc = {16: 3.0, 32: 3.0, 64: 3.2, 256: 3.3}
 
-        def fake_compare(mixes, config, schemes, **kwargs):
-            out = {}
-            for mix in mixes:
-                out[mix] = {}
-                for scheme in schemes:
-                    r = fake_result(mix, scheme, 1.0)
-                    thr = throughput_by_assoc[config.geometry.assoc]
-                    if scheme == "lru":
-                        thr = 2.8
-                    out[mix] = {**out[mix], scheme: type(r)(**{**r.__dict__,
-                                                               "throughput": thr})}
-            return out
+        def fake_run(mix, config, scheme, **kwargs):
+            r = fake_result(mix, scheme, 1.0)
+            thr = throughput_by_assoc[config.geometry.assoc]
+            if scheme == "lru":
+                thr = 2.8
+            return type(r)(**{**r.__dict__, "throughput": thr})
 
-        monkeypatch.setattr(fig01_motivation, "compare_schemes", fake_compare)
-        result = fig01_motivation.run_fine_grain(mixes_per_count=2)
-        rows = result["rows"]
+        result = summarise_with(fig01_motivation, fake_run, mixes_per_count=2)
+        rows = result["fine_grain"]["rows"]
         assert [r["assoc"] for r in rows] == [16, 64, 256]
         ucp_4c = [r["ucp_throughput_4c"] for r in rows]
         assert ucp_4c == sorted(ucp_4c)  # rises with associativity
@@ -69,18 +47,18 @@ class TestFig1bMath:
 
 
 class TestFig2Math:
-    def test_summary_rows(self, monkeypatch):
-        def fake_compare(mixes, config, schemes, **kwargs):
-            scheme_factors = {
-                "lru": 1.0, "prism-h": 0.85, "ucp": 0.9, "pipp": 0.95,
-                "prism-f": 0.9, "fair-waypart": 0.97,
-            }
-            return canned_for(
-                {s: scheme_factors[s] for s in schemes}, {m: 2.0 for m in mixes}
-            )
+    def test_summary_rows(self):
+        scheme_factors = {
+            "lru": 1.0, "prism-h": 0.85, "ucp": 0.9, "pipp": 0.95,
+            "prism-f": 0.9, "fair-waypart": 0.97,
+        }
 
-        monkeypatch.setattr(fig02_summary, "compare_schemes", fake_compare)
-        result = fig02_summary.run(mixes_per_count=2, core_counts=(4, 16, 32))
+        def fake_run(mix, config, scheme, **kwargs):
+            return fake_result(mix, scheme, 2.0 * scheme_factors[scheme])
+
+        result = summarise_with(
+            fig02_summary, fake_run, mixes_per_count=2, core_counts=(4, 16, 32)
+        )
         rows = {r["cores"]: r for r in result["rows"]}
         assert rows[4]["prism_h_antt_vs_lru"] == pytest.approx(0.85)
         assert rows[16]["prism_f_antt_vs_lru"] == pytest.approx(0.9)

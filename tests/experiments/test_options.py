@@ -1,4 +1,4 @@
-"""Tests for RunOptions and the experiment_run decorator."""
+"""Tests for RunOptions and Experiment.run."""
 
 import os
 import warnings
@@ -6,8 +6,13 @@ import warnings
 import pytest
 
 from repro.experiments import options as options_module
-from repro.experiments import parallel
-from repro.experiments.options import RunOptions, experiment_run, resolve_run_options
+from repro.experiments import parallel, registry
+from repro.experiments.configs import machine
+from repro.experiments.options import RunOptions, resolve_run_options
+from repro.experiments.parallel import RunSpec
+from repro.experiments.registry import Experiment
+
+CONFIG = machine(4)
 
 
 def test_jobs_env_name_in_sync_with_parallel_executor():
@@ -29,28 +34,48 @@ class TestResolveRunOptions:
 
 
 class TestExperimentRunDecorator:
+    """``Experiment.run``: the uniform ``run(options=None, **figure_kwargs)``
+    API of every registry experiment."""
+
+    @pytest.fixture(autouse=True)
+    def fake_run_specs(self, monkeypatch):
+        """Record run_specs' controls; each result is its spec."""
+        self.calls = []
+
+        def run_specs(specs, config, jobs=None, progress=None, store=None):
+            self.calls.append({"jobs": jobs, "store": store, "progress": progress})
+            return list(specs)
+
+        monkeypatch.setattr(registry, "run_specs", run_specs)
+
     @staticmethod
-    def make_run():
-        @experiment_run
-        def run(instructions=None, mixes=None, seed=0, progress=None):
+    def make_experiment():
+        def specs(instructions=None, mixes=None, seed=0):
+            return [
+                (CONFIG, RunSpec(mix=mix, instructions=instructions, seed=seed))
+                for mix in mixes or ["Q1"]
+            ]
+
+        def summarise(results, instructions=None, mixes=None, seed=0):
             return {
                 "instructions": instructions,
                 "mixes": mixes,
                 "seed": seed,
-                "jobs_env": os.environ.get(options_module.JOBS_ENV),
+                "results": results,
             }
 
-        return run
+        return Experiment("fake", "a fake experiment", specs, summarise, str)
 
     def test_options_forwarded(self):
-        run = self.make_run()
+        run = self.make_experiment().run
         result = run(options=RunOptions(instructions=123, seed=7), mixes=["Q1"])
         assert result["instructions"] == 123
         assert result["seed"] == 7
         assert result["mixes"] == ["Q1"]
+        assert result["results"] == [RunSpec(mix="Q1", instructions=123, seed=7)]
 
     def test_defaults_without_options(self):
-        result = self.make_run()()
+        result = self.make_experiment().run()
         assert result["instructions"] is None
         assert result["seed"] == 0
 
@@ -59,33 +84,26 @@ class TestExperimentRunDecorator:
     )
     def test_bare_control_rejected(self, control):
         """A bare run control would be overwritten by ``options``: refuse it."""
-        run = self.make_run()
+        run = self.make_experiment().run
         with pytest.raises(TypeError, match=f"{control}.*RunOptions"):
             run(**{control: 55})
 
     def test_positional_instructions_rejected(self):
         with pytest.raises(TypeError, match="RunOptions, not int"):
-            self.make_run()(1000)
+            self.make_experiment().run(1000)
 
-    def test_jobs_pinned_to_environment_during_run(self, monkeypatch):
+    def test_jobs_store_progress_passed_to_run_specs(self, monkeypatch):
         monkeypatch.delenv(options_module.JOBS_ENV, raising=False)
-        run = self.make_run()
-        result = run(options=RunOptions(jobs=3))
-        assert result["jobs_env"] == "3"
-        assert options_module.JOBS_ENV not in os.environ  # restored after
-
-    def test_jobs_env_restored_on_previous_value(self, monkeypatch):
-        monkeypatch.setenv(options_module.JOBS_ENV, "7")
-        self.make_run()(options=RunOptions(jobs=2))
-        assert os.environ[options_module.JOBS_ENV] == "7"
+        self.make_experiment().run(
+            options=RunOptions(jobs=3, store="out/s", progress=print)
+        )
+        assert self.calls == [{"jobs": 3, "store": "out/s", "progress": print}]
+        assert options_module.JOBS_ENV not in os.environ
 
     def test_figure_kwargs_unrelated_to_controls_pass_through(self):
-        @experiment_run
-        def run(instructions=None, bit_widths=(6, 8)):
-            return bit_widths
+        result = self.make_experiment().run(mixes=["Q2", "Q3"])
+        assert [spec.mix for spec in result["results"]] == ["Q2", "Q3"]
 
-        assert run(bit_widths=(4,)) == (4,)
-
-    def test_wrapped_impl_reachable(self):
-        run = self.make_run()
-        assert callable(run.__wrapped_run__)
+    def test_unknown_figure_kwarg_rejected(self):
+        with pytest.raises(TypeError, match="bit_widths"):
+            self.make_experiment().run(bit_widths=(4,))

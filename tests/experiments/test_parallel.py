@@ -18,7 +18,6 @@ from repro.experiments.parallel import (
     JOBS_ENV,
     RunSpec,
     SpecRunError,
-    parallel_compare_schemes,
     resolve_jobs,
     run_specs,
 )
@@ -142,6 +141,30 @@ class TestRunSpecs:
     def test_empty_specs(self):
         assert run_specs([], CONFIG, jobs=2) == []
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_duplicates_simulate_once(self, monkeypatch, jobs):
+        """Without a store, each fingerprint still runs once, and a
+        telemetry request serves its plain twin."""
+        plain = RunSpec(mix="Q1", scheme="lru", instructions=INSTR)
+        traced = RunSpec(mix="Q1", scheme="lru", instructions=INSTR, telemetry=True)
+        other = RunSpec(mix="Q2", scheme="lru", instructions=INSTR)
+        messages = []
+        results = run_specs(
+            [plain, other, traced, plain], CONFIG, jobs=jobs,
+            progress=messages.append,
+        )
+        assert len(messages) == 2  # one line per executed run
+        assert results[0] is results[2] is results[3]
+        assert results[0].telemetry is not None
+        assert results[1].mix == "Q2"
+
+    def test_failure_names_first_index_of_its_fingerprint(self):
+        bad = RunSpec(mix="Q2", scheme="no-such-scheme", instructions=INSTR)
+        good = RunSpec(mix="Q1", scheme="lru", instructions=INSTR)
+        with pytest.raises(SpecRunError) as excinfo:
+            run_specs([good, good, bad, bad], CONFIG, jobs=1)
+        assert excinfo.value.index == 2
+
     def test_progress_called_per_run(self):
         messages = []
         specs = [
@@ -182,7 +205,7 @@ class TestParallelIdenticalToSerial:
         assert serial["Q1"]["lru"] == parallel["Q1"]["lru"]
 
     def test_parallel_compare_schemes_shape(self):
-        results = parallel_compare_schemes(
+        results = compare_schemes(
             ["Q1"], CONFIG, ["lru", "dip"], instructions=INSTR, jobs=2
         )
         assert list(results) == ["Q1"]

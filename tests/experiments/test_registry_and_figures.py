@@ -2,34 +2,9 @@
 
 import pytest
 
-from repro.experiments.options import RunOptions
 from repro.experiments.registry import EXPERIMENTS, get_experiment
-
-#: Micro budgets: one or two mixes, tiny instruction windows. These verify
-#: that every figure's pipeline runs end to end and produces shaped rows;
-#: the benchmarks/ tree runs them at meaningful scale.
-MICRO = {
-    "fig1": {"instructions": 25_000, "mixes_per_count": 1},
-    "fig2": {"instructions": 25_000, "mixes_per_count": 1, "core_counts": (4, 8)},
-    "fig3": {"instructions": 25_000, "quad_mixes": ["Q7"], "big_mixes": ["T1"]},
-    "fig4": {"instructions": 25_000, "mixes": ["Q7"]},
-    "fig5": {"instructions": 25_000, "mixes": ["S1"]},
-    "fig6": {"instructions": 25_000, "mixes": ["S1"]},
-    "fig7": {"instructions": 25_000, "quad_mixes": ["Q7"], "sixteen_mixes": ["S1"]},
-    "fig8": {"instructions": 25_000, "mixes": ["Q7"]},
-    "fig9": {"instructions": 25_000, "mixes": ["S1"]},
-    "fig10": {"instructions": 25_000, "mixes": ["S1"]},
-    "fig11": {"instructions": 50_000, "mixes": ["Q7"]},
-    "fig12": {"instructions": 25_000, "mixes": ["Q7"], "bit_widths": (6,)},
-    "fig13": {"instructions": 50_000, "mixes": ["Q7"], "interval_multipliers": (0.5, 1.0)},
-    "sec56": {"instructions": 25_000, "mixes": ["Q7"]},
-    "tenants": {"instructions": 30_000, "workload": "smoke4",
-                "schemes": ["lru", "cliff", "prism-h"]},
-    "headroom": {"instructions": 25_000, "mixes": ["Q7"],
-                 "schemes": ["lru", "prism-h"]},
-    "scaleout": {"instructions": 30_000, "workloads": ["smoke4"],
-                 "schemes": ["lru", "prism-h"], "clusters": 2},
-}
+from repro.experiments.report import BUDGETS
+from tests.golden.test_figure_digests import micro_summaries
 
 
 class TestRegistry:
@@ -50,17 +25,15 @@ class TestRegistry:
             get_experiment("fig99")
 
     def test_micro_budgets_cover_registry(self):
-        assert set(MICRO) == set(EXPERIMENTS)
+        assert set(BUDGETS["micro"]) == set(EXPERIMENTS)
 
 
 @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
 def test_experiment_smoke(experiment_id):
     """Every experiment runs at micro scale and formats to a non-trivial
-    paper-style table."""
+    paper-style table (the summaries the golden digests pin)."""
     experiment = EXPERIMENTS[experiment_id]
-    kwargs = dict(MICRO[experiment_id])
-    options = RunOptions(instructions=kwargs.pop("instructions"))
-    result = experiment.run(options=options, **kwargs)
+    result = micro_summaries()[experiment_id]
     assert result["id"].startswith(experiment_id[:4]) or result["id"] == experiment_id
     text = experiment.format(result)
     assert len(text.splitlines()) >= 3

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.campaign.runner import partition_specs
+from repro.experiments.registry import EXPERIMENTS, paper_grid
 from repro.experiments.report import BUDGETS, generate_report
-from repro.experiments.registry import EXPERIMENTS
 
 
 class TestBudgets:
@@ -47,3 +48,49 @@ class TestGenerate:
                      "--quiet"]) == 0
         assert out.exists()
         assert "fig13" in out.read_text()
+
+    def test_store_serves_second_report(self, tmp_path):
+        """The pooled runs persist into the store; a second report of the
+        same figures simulates nothing."""
+        store = tmp_path / "store"
+        first = generate_report(
+            tmp_path / "a.md", budget="micro", only=["fig4", "fig3"],
+            jobs=2, store=store,
+        )
+        seen = []
+        second = generate_report(
+            tmp_path / "b.md", budget="micro", only=["fig4", "fig3"],
+            progress=seen.append, store=store,
+        )
+        cached = [msg for msg in seen if msg.startswith("store: ")]
+        assert cached and all(
+            msg.split()[1].split("/")[0] == msg.split()[1].split("/")[1]
+            for msg in cached
+        ), cached
+        untimed = [
+            [line for line in path.read_text().splitlines() if not line.startswith("*(")]
+            for path in (first, second)
+        ]
+        assert untimed[0] == untimed[1]
+
+
+class TestPaperGrid:
+    def test_quick_union_runs_each_fingerprint_once(self):
+        """Figures share runs (fig2 holds fig1(a)'s grid, fig4's telemetry
+        runs serve fig3's plain twins, ...): the quick grid lists 290 runs
+        and 219 distinct fingerprints."""
+        grid = paper_grid(list(EXPERIMENTS), BUDGETS["quick"])
+        total = sum(len(specs) for specs in grid.values())
+        unique = sum(
+            len(partition_specs(None, specs, config)[2])
+            for config, specs in grid.items()
+        )
+        assert (total, unique) == (290, 219)
+
+    def test_grouped_by_machine(self):
+        grid = paper_grid(["fig6", "fig5"], BUDGETS["micro"])
+        assert [(c.num_cores, c.geometry.assoc) for c in grid] == [(16, 16), (16, 32)]
+        assert [len(specs) for specs in grid.values()] == [2, 3]
+
+    def test_headroom_declares_no_runs(self):
+        assert paper_grid(["headroom"], BUDGETS["micro"]) == {}
